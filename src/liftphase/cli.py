@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import forward, recovery, signals, synthesis
@@ -151,8 +151,8 @@ def _build_config(args, preset: dict | None = None) -> ExperimentConfig:
     if preset:
         cfg = replace(cfg, **preset)
     file_doc = _config_from_file(args.config) if getattr(args, "config", None) else {}
-    updates = {}
-    grid_doc = file_doc.get("grid", {})
+    grid_doc, noise_doc, recovery_doc = (_section(file_doc, name)
+                                         for name in ("grid", "noise", "recovery"))
     mapping = {
         "signal": file_doc.get("signal"),
         "window": file_doc.get("window"),
@@ -163,16 +163,12 @@ def _build_config(args, preset: dict | None = None) -> ExperimentConfig:
         "n_shifts": grid_doc.get("n_shifts"),
         "shift_spacing": grid_doc.get("shift_spacing"),
         "delta": grid_doc.get("delta"),
+        "noise_seed": noise_doc.get("seed"),
+        "noise_level": noise_doc.get("level"),
+        **recovery_doc,
     }
-    noise_doc = file_doc.get("noise")
-    if noise_doc:
-        mapping["noise_seed"] = noise_doc.get("seed")
-        mapping["noise_level"] = noise_doc.get("level")
-    for key, value in (file_doc.get("recovery") or {}).items():
-        mapping[key] = value
-    for key, value in mapping.items():
-        if value is not None:
-            updates[key] = value
+    updates = {key: value for key, value in mapping.items() if value is not None}
+    _check_types(updates)
     # flags override the file
     for attr, flag in (("signal", "signal"), ("window", "window"),
                        ("method", "method"), ("delta", "delta"),
@@ -189,6 +185,31 @@ def _build_config(args, preset: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    return section
+
+
+def _check_types(updates: dict) -> None:
+    """Config-file values must have their field's type: strings, integers,
+    or finite numbers (booleans are not numbers here)."""
+    kinds = {str: "a string", int: "an integer", float: "a finite number"}
+    for field in fields(ExperimentConfig):
+        if field.name not in updates:
+            continue
+        value = updates[field.name]
+        expected = type(field.default)
+        allowed = (int, float) if expected is float else expected
+        if (isinstance(value, bool) or not isinstance(value, allowed)
+                or (expected is float and not math.isfinite(value))):
+            raise ConfigError(
+                f"{field.name} must be {kinds[expected]}, got {value!r}")
+
+
 def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.method not in ("quadrature", "series"):
         raise ConfigError(f"method must be quadrature or series, got {cfg.method!r}")
@@ -201,18 +222,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
     cfg.recovery_config()
     cfg.grid()
-
-
-def thread_cap() -> int:
-    """Parallelism cap from LIFTPHASE_THREADS (execution is serial today;
-    the cap is honored by never exceeding it)."""
-    raw = os.environ.get("LIFTPHASE_THREADS")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _simulate(cfg: ExperimentConfig) -> forward.SpectrogramData:
@@ -240,9 +249,10 @@ def _recover_from_data(cfg: ExperimentConfig, data: forward.SpectrogramData,
     truth = signals.get_signal(cfg.signal)
     window = signals.get_window(cfg.window)
     spectrum = recovery.recover(data, window, cfg=cfg.recovery_config())
-    write_json(out_dir / "spectrum.json", spectrum.to_dict())
     reconstruction = synthesis.synthesize(spectrum, synthesis.default_grid())
     error = synthesis.aligned_relative_error(reconstruction, truth)
+    # every stage that can fail has run, so no partial artifact is left
+    write_json(out_dir / "spectrum.json", spectrum.to_dict())
     synthesis.write_reconstruction_csv(out_dir / "reconstruction.csv",
                                        reconstruction, truth)
     diag = spectrum.diagnostics
@@ -339,7 +349,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    thread_cap()
     try:
         return args.func(args)
     except (ConfigError, GridError, KeyError) as exc:

@@ -129,6 +129,8 @@ class SpectrogramData:
         expected = self.grid.n_shifts * self.grid.n_frequencies
         if vals.shape != (expected,):
             raise GridError(f"measurement vector must have length {expected}")
+        if not np.all(np.isfinite(vals)):
+            raise GridError("measurements must be finite")
         if np.any(vals < 0):
             raise GridError("measurements must be nonnegative")
         vals.setflags(write=False)

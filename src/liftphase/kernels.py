@@ -131,12 +131,12 @@ def min_norm_least_squares(
 
 
 class BandedMatrix:
-    """Square complex matrix supported on a band, stored by diagonals.
+    """Square complex matrix supported on a band, stored as one dense array.
 
-    Diagonal ``d`` holds the entries ``A[i, i + d]`` for valid ``i``.  With
-    ``hermitian=True`` only diagonals ``d >= 0`` are stored and reads of
-    negative diagonals return the conjugated mirror, so Hermitian symmetry
-    holds structurally rather than to a tolerance.
+    Entries with ``|i - j| > half_width`` stay zero.  With ``hermitian=True``
+    every write also writes the conjugate mirror and keeps the diagonal
+    real, so Hermitian symmetry holds structurally rather than to a
+    tolerance.
     """
 
     def __init__(self, size: int, half_width: int, hermitian: bool = False):
@@ -149,11 +149,7 @@ class BandedMatrix:
         self.size = size
         self.half_width = half_width
         self.hermitian = hermitian
-        lo = 0 if hermitian else -half_width
-        self._diags = {
-            d: np.zeros(size - abs(d), dtype=complex)
-            for d in range(lo, half_width + 1)
-        }
+        self._dense = np.zeros((size, size), dtype=complex)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, half_width: int, hermitian: bool = False):
@@ -166,20 +162,16 @@ class BandedMatrix:
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise DimensionError(f"expected a square matrix, got {dense.shape}")
         out = cls(dense.shape[0], half_width, hermitian=hermitian)
-        for d in out._diags:
-            vals = np.diagonal(dense, offset=d).copy()
-            if hermitian and d == 0:
-                vals = vals.real.astype(complex)
-            out._diags[d] = vals
+        band = np.triu(np.tril(dense, half_width), -half_width)
+        if hermitian:
+            upper = np.triu(band, 1)
+            band = upper + upper.conj().T + np.diag(band.diagonal().real)
+        out._dense = band
         return out
 
     def diagonal(self, offset: int) -> np.ndarray:
         """Entries of diagonal ``offset`` (``A[i, i+offset]``); a copy."""
-        if abs(offset) > self.half_width:
-            return np.zeros(max(self.size - abs(offset), 0), dtype=complex)
-        if self.hermitian and offset < 0:
-            return np.conj(self._diags[-offset])
-        return self._diags[offset].copy()
+        return np.diagonal(self._dense, offset).copy()
 
     def set_diagonal(self, offset: int, values: np.ndarray) -> None:
         if abs(offset) > self.half_width:
@@ -187,79 +179,39 @@ class BandedMatrix:
         values = np.asarray(values, dtype=complex)
         if values.shape != (self.size - abs(offset),):
             raise DimensionError("diagonal length mismatch")
-        if self.hermitian and offset < 0:
-            self._diags[-offset] = np.conj(values)
-        else:
-            if self.hermitian and offset == 0:
-                values = values.real.astype(complex)
-            self._diags[offset] = values.copy()
+        i = np.arange(values.size)
+        rows, cols = (i, i + offset) if offset >= 0 else (i - offset, i)
+        if self.hermitian:
+            if offset == 0:
+                values = values.real
+            self._dense[cols, rows] = np.conj(values)
+        self._dense[rows, cols] = values
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size), dtype=complex)
-        for d in range(-self.half_width, self.half_width + 1):
-            vals = self.diagonal(d)
-            idx = np.arange(vals.size)
-            if d >= 0:
-                out[idx, idx + d] = vals
-            else:
-                out[idx - d, idx] = vals
-        return out
+        return self._dense.copy()
 
     def window(self, center: int, radius: int) -> tuple[int, np.ndarray]:
         """Dense block ``A[lo:hi, lo:hi]`` for the index window around
-        ``center``; never materializes the full matrix.
+        ``center``; a copy of that block only.
 
         Returns ``(lo, block)`` with ``hi = lo + block.shape[0]``.
         """
         lo = max(0, center - radius)
         hi = min(self.size, center + radius + 1)
-        m = hi - lo
-        block = np.zeros((m, m), dtype=complex)
-        for d in range(-min(self.half_width, m - 1), min(self.half_width, m - 1) + 1):
-            vals = self.diagonal(d)
-            if d >= 0:
-                seg = vals[lo:hi - d]
-                idx = np.arange(seg.size)
-                block[idx, idx + d] = seg
-            else:
-                seg = vals[lo:hi + d]
-                idx = np.arange(seg.size)
-                block[idx - d, idx] = seg
-        return lo, block
+        return lo, self._dense[lo:hi, lo:hi].copy()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.size,):
             raise DimensionError("vector length mismatch")
-        out = np.zeros(self.size, dtype=complex)
-        n = self.size
-        for d in range(-self.half_width, self.half_width + 1):
-            vals = self.diagonal(d)
-            if d >= 0:
-                out[: n - d] += vals * v[d:]
-            else:
-                out[-d:] += vals * v[: n + d]
-        return out
+        return self._dense @ v
 
     def one_norm(self) -> float:
         """Maximum absolute column sum."""
-        col = np.zeros(self.size)
-        n = self.size
-        for d in range(-self.half_width, self.half_width + 1):
-            vals = np.abs(self.diagonal(d))
-            if d >= 0:
-                col[d:] += vals
-            else:
-                col[: n + d] += vals
-        return float(col.max()) if self.size else 0.0
+        return float(np.abs(self._dense).sum(axis=0).max())
 
     def max_abs(self) -> float:
-        return max(
-            (float(np.abs(self.diagonal(d)).max())
-             for d in range(-self.half_width, self.half_width + 1)
-             if self.size - abs(d) > 0),
-            default=0.0,
-        )
+        return float(np.abs(self._dense).max())
 
 
 def _as_matvec(h):

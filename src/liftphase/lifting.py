@@ -14,7 +14,6 @@ while the per-shift structured form is kept for fast forward application.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "forward_lifted",
     "OperationCounter",
     "band_coordinate_count",
-    "dump_system",
 ]
 
 
@@ -128,14 +126,8 @@ class LiftedSystem:
         self.band = band
         self.shift_vectors = [shift_vector(window, l, grid.delta)
                               for l in grid.shifts]
-        rows = []
-        cols = []
-        for i in range(n):
-            j = np.arange(max(0, i - band), min(n, i + band + 1))
-            rows.append(np.full(j.size, i))
-            cols.append(j)
-        self.row_index = np.concatenate(rows)
-        self.col_index = np.concatenate(cols)
+        offsets = np.subtract.outer(np.arange(n), np.arange(n))
+        self.row_index, self.col_index = np.nonzero(np.abs(offsets) <= band)
         self._matrix: np.ndarray | None = None
         self._factorization = None
 
@@ -155,37 +147,19 @@ class LiftedSystem:
         """In-band entries of ``f`` in row-major band order."""
         if f.size != self.grid.n_frequencies or f.half_width != self.band:
             raise DimensionError("banded matrix does not match the system band")
-        dense_diags = {d: f.diagonal(d) for d in range(-self.band, self.band + 1)}
-        x = np.empty(self.n_unknowns, dtype=complex)
-        offs = self.col_index - self.row_index
-        for d in range(-self.band, self.band + 1):
-            sel = offs == d
-            pos = np.minimum(self.row_index[sel], self.col_index[sel])
-            x[sel] = dense_diags[d][pos]
-        return x
+        return f.to_dense()[self.row_index, self.col_index]
 
-    def unpack(self, x: np.ndarray, hermitian: bool = False) -> BandedMatrix:
-        """Inverse of :meth:`pack`.  With ``hermitian=True`` the two mirror
-        coordinates are averaged into structurally Hermitian storage."""
+    def unpack(self, x: np.ndarray) -> BandedMatrix:
+        """Hermitian inverse of :meth:`pack`: the two mirror coordinates are
+        averaged into structurally Hermitian storage."""
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.n_unknowns,):
             raise DimensionError("coordinate vector length mismatch")
         n = self.grid.n_frequencies
-        out = BandedMatrix(n, self.band, hermitian=hermitian)
-        offs = self.col_index - self.row_index
-        for d in range(0 if hermitian else -self.band, self.band + 1):
-            sel = offs == d
-            pos = np.minimum(self.row_index[sel], self.col_index[sel])
-            vals = np.zeros(n - abs(d), dtype=complex)
-            vals[pos] = x[sel]
-            if hermitian:
-                mirror = offs == -d
-                mpos = np.minimum(self.row_index[mirror], self.col_index[mirror])
-                conj_vals = np.zeros(n - abs(d), dtype=complex)
-                conj_vals[mpos] = np.conj(x[mirror])
-                vals = 0.5 * (vals + conj_vals)
-            out.set_diagonal(d, vals)
-        return out
+        raw = np.zeros((n, n), dtype=complex)
+        raw[self.row_index, self.col_index] = x
+        return BandedMatrix.from_dense(0.5 * (raw + raw.conj().T), self.band,
+                                       hermitian=True)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -265,20 +239,3 @@ def forward_lifted(system: LiftedSystem, f: BandedMatrix,
                 w = block.shape[0]
                 counter.multiplications += w * w + w
     return out
-
-
-def dump_system(system: LiftedSystem, path) -> None:
-    """Debug dump of the dense matrix and the band-coordinate map (npz).
-
-    The archive holds a JSON header (N, K, delta, band, ordering), the
-    row/column index arrays of the in-band coordinates, and the dense matrix.
-    """
-    header = json.dumps({
-        "N": system.grid.n_frequencies,
-        "K": system.grid.n_shifts,
-        "delta": system.grid.delta,
-        "band": system.band,
-        "ordering": "row-major-band",
-    })
-    np.savez(path, header=np.array(header), rows=system.row_index,
-             cols=system.col_index, matrix=system.matrix)

@@ -155,7 +155,7 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
         factorization=system.factorization)
     bnorm = float(np.linalg.norm(data.values))
     rel_residual = residual / bnorm if bnorm > 0 else 0.0
-    f = system.unpack(x, hermitian=True)
+    f = system.unpack(x)
     diag = np.real(f.diagonal(0))
     clamped = float(-diag[diag < 0].sum())
     trace = float(diag[diag > 0].sum())
@@ -166,9 +166,12 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
     return f, diagnostics
 
 
-def _dominant_pair(dense: np.ndarray) -> tuple[float, np.ndarray]:
-    evals, evecs = np.linalg.eigh(dense)
-    return max(float(evals[-1]), 0.0), evecs[:, -1]
+def _rank_one_part(system: LiftedSystem, x: np.ndarray) -> np.ndarray:
+    """Dense dominant rank-one positive-semidefinite part of the Hermitian
+    matrix whose in-band coordinates are ``x``."""
+    evals, evecs = np.linalg.eigh(system.unpack(x).to_dense())
+    vec = evecs[:, -1]
+    return max(float(evals[-1]), 0.0) * np.outer(vec, np.conj(vec))
 
 
 def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: BandedMatrix,
@@ -183,27 +186,18 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: BandedMatrix,
     """
     u, s, vh = system.factorization
     keep = s > cfg.rank_tol * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, bool)
-    uk = u[:, keep]
+    uk_h = u[:, keep].conj().T
     sk = s[keep]
-    vhk = vh[keep]
-
-    def to_solution_set(x):
-        mismatch = system.matrix @ x - b
-        return x - vhk.conj().T @ ((uk.conj().T @ mismatch) / sk)
+    vk_h = vh[keep].conj().T
+    a = system.matrix
 
     x = system.pack(f)
-    lam, vec = 0.0, None
     for _ in range(cfg.refine_iterations):
-        dense = system.unpack(x, hermitian=True).to_dense()
-        lam, vec = _dominant_pair(dense)
-        rank_one = lam * np.outer(vec, np.conj(vec))
-        x = to_solution_set(system.pack(
-            BandedMatrix.from_dense(rank_one, system.band, hermitian=True)))
-    dense = system.unpack(x, hermitian=True).to_dense()
-    lam, vec = _dominant_pair(dense)
-    refined = BandedMatrix.from_dense(lam * np.outer(vec, np.conj(vec)),
-                                      system.band, hermitian=True)
-    resid = float(np.linalg.norm(system.matrix @ system.pack(refined) - b))
+        y = _rank_one_part(system, x)[system.row_index, system.col_index]
+        x = y - vk_h @ ((uk_h @ (a @ y - b)) / sk)
+    refined = BandedMatrix.from_dense(_rank_one_part(system, x), system.band,
+                                      hermitian=True)
+    resid = float(np.linalg.norm(a @ system.pack(refined) - b))
     bnorm = float(np.linalg.norm(b))
     return refined, (resid / bnorm if bnorm > 0 else 0.0)
 
@@ -240,15 +234,12 @@ def angular_synchronize(f: BandedMatrix, cfg: RecoveryConfig | None = None,
         if freqs.shape != (n,):
             raise DimensionError("frequency vector length mismatch")
 
-    peak = f.max_abs()
-    normalized = BandedMatrix(n, f.half_width, hermitian=True)
-    floor = cfg.magnitude_floor * peak
-    for d in range(1, f.half_width + 1):
-        vals = f.diagonal(d)
-        mags = np.abs(vals)
-        phases = np.where(mags >= floor, vals / np.where(mags > 0, mags, 1.0), 0.0)
-        normalized.set_diagonal(d, phases)
-    normalized.set_diagonal(0, np.ones(n, dtype=complex))
+    dense = f.to_dense()
+    mags = np.abs(dense)
+    phases = np.where(mags >= cfg.magnitude_floor * f.max_abs(),
+                      dense / np.where(mags > 0, mags, 1.0), 0.0)
+    np.fill_diagonal(phases, 1.0)
+    normalized = BandedMatrix.from_dense(phases, f.half_width, hermitian=True)
 
     vec, lam1 = leading_eigenvector(normalized, iter_tol=cfg.power_tol,
                                     max_iters=cfg.max_power_iters, seed=cfg.seed)

@@ -76,6 +76,30 @@ class TestRecoverCommand:
         bad.write_text(json.dumps(doc))
         assert run_cli(["recover", str(bad), "--out", str(out)]) == cli.EXIT_CONFIG
 
+    def test_non_finite_measurement_rejected(self, tmp_path):
+        out = tmp_path / "exp"
+        run_cli(["simulate", "--signal", "zero", "--method", "series",
+                 "--out", str(out)])
+        doc = json.loads((out / "measurement.json").read_text())
+        doc["b"][3] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        rec = tmp_path / "rec"
+        assert run_cli(["recover", str(bad), "--out", str(rec)]) == cli.EXIT_CONFIG
+        assert not rec.exists()
+
+    def test_off_lattice_frequencies_leave_no_artifact(self, tmp_path, window,
+                                                       gaussian):
+        import liftphase as lp
+        grid = lp.half_integer_grid(21, 7, 0.5 / 7.0, 3)
+        doc = lp.measure(gaussian, window, grid, method="series").to_dict()
+        doc["grid"]["frequencies"] = [w + 0.1 for w in doc["grid"]["frequencies"]]
+        path = tmp_path / "off_lattice.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rec"
+        assert run_cli(["recover", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["recover", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path)])
@@ -146,13 +170,24 @@ class TestConfigResolution:
         assert run_cli(["simulate", "--config", str(cfg_path),
                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("LIFTPHASE_THREADS", "4")
-        assert cli.thread_cap() == 4
-        monkeypatch.setenv("LIFTPHASE_THREADS", "junk")
-        assert cli.thread_cap() == 1
-        monkeypatch.delenv("LIFTPHASE_THREADS")
-        assert cli.thread_cap() == 1
+    @pytest.mark.parametrize("document", [
+        {"grid": 5},
+        {"recovery": 3},
+        {"grid": {"delta": "7"}},
+        {"noise": {"level": "x"}},
+        {"recovery": {"rank_tol": float("nan")}},
+    ])
+    def test_wrongly_typed_config_exits_config(self, tmp_path, document):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(document))
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "liftphase.cli", "simulate", "--method",
+             "series", "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == cli.EXIT_CONFIG
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
 
 class TestSubprocessEntry:

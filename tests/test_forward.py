@@ -159,6 +159,18 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             lp.SpectrogramData.from_dict(doc)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entry(self, b_series, value):
+        data = b_series["gaussian"]
+        values = data.values.copy()
+        values[5] = value
+        with pytest.raises(GridError):
+            lp.SpectrogramData(values, data.grid)
+        doc = data.to_dict()
+        doc["b"][5] = value
+        with pytest.raises(ConfigError):
+            lp.SpectrogramData.from_dict(doc)
+
     def test_rejects_wrong_length(self, b_series):
         doc = b_series["gaussian"].to_dict()
         doc["b"] = doc["b"][:-1]
