@@ -18,7 +18,7 @@ grid = lp.paper_grid()
 
 print("== shift vectors and Toeplitz blocks ==")
 sv = lp.shift_vector(window, grid.shifts[0], grid.delta)
-print(f"shift vector length {sv.values.size} (= 4*delta + 1)")
+print(f"shift vector length {sv.size} (= 4*delta + 1)")
 block = lp.toeplitz_block(sv, grid.n_frequencies)
 nonzero_diags = sum(1 for d in range(-60, 61)
                     if np.any(np.diagonal(block, d) != 0))
@@ -31,7 +31,7 @@ print(f"in-band unknowns: {system.n_unknowns} "
       f"(formula: {lp.band_coordinate_count(61, system.band)})")
 print(f"measurements: {system.n_measurements} (= N*K)")
 print(f"structured state before materialization: "
-      f"{sum(s.values.size for s in system.shift_vectors)} complex numbers")
+      f"{sum(s.size for s in system.shift_vectors)} complex numbers")
 
 print("\n== singular spectrum ==")
 _, s, _ = system.factorization

@@ -16,9 +16,9 @@ from .forward import (MeasurementGrid, NoiseSpec, SpectrogramData, measure,
                       spectrogram_series)
 from .kernels import (BandedMatrix, QuadratureSpec, integrate_complex,
                       leading_eigenvector, min_norm_least_squares)
-from .lifting import (LiftedSystem, OperationCounter, ShiftVector,
-                      assemble_system, band_coordinate_count, forward_lifted,
-                      shift_vector, toeplitz_block)
+from .lifting import (LiftedSystem, OperationCounter, assemble_system,
+                      band_coordinate_count, forward_lifted, shift_vector,
+                      toeplitz_block)
 from .recovery import (RecoveredSpectrum, RecoveryConfig, RecoveryDiagnostics,
                        angular_synchronize, cached_system, recover, solve_band)
 from .signals import (Signal, Window, fourier_samples, gaussian_specimen,

@@ -17,12 +17,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import forward, recovery, signals, synthesis
 from .exceptions import (ConfigError, DecompositionFailure, DegenerateSpectrum,
-                         GridError, LiftphaseError, NonConvergence, ZeroSignal)
+                         DimensionError, GridError, LiftphaseError,
+                         NonConvergence, ZeroSignal)
 
 __all__ = ["main", "ExperimentConfig"]
 
@@ -63,11 +64,28 @@ def write_json(path, document: dict) -> None:
     Path(path).write_text(_format_value(document) + "\n", encoding="utf-8")
 
 
+#: Config-file layout: file key -> ExperimentConfig field, with a nested
+#: table per section.  ``grid.preset`` maps to no field (see _check_preset).
+#: Any key not listed here is rejected.
+CONFIG_KEYS = {
+    "signal": "signal",
+    "window": "window",
+    "method": "method",
+    "out": "out_dir",
+    "grid": {"preset": None, "n_frequencies": "n_frequencies",
+             "n_shifts": "n_shifts", "shift_spacing": "shift_spacing",
+             "delta": "delta"},
+    "noise": {"seed": "noise_seed", "level": "noise_level"},
+    "recovery": {"rank_tol": "rank_tol",
+                 "refine_iterations": "refine_iterations"},
+}
+_GRID_SIZE_KEYS = ("n_frequencies", "n_shifts", "shift_spacing")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     signal: str = "gaussian"
     window: str = "gaussian"
-    grid_preset: str = "paper"
     n_frequencies: int = 61
     n_shifts: int = 11
     shift_spacing: float = 0.5 / 11.0
@@ -76,20 +94,10 @@ class ExperimentConfig:
     noise_seed: int = 0
     noise_level: float = 0.0
     rank_tol: float = 1e-10
-    magnitude_floor: float = 1e-6
-    power_tol: float = 1e-10
-    max_power_iters: int = 50000
-    seed: int = 0
     refine_iterations: int = 30
     out_dir: str = "out"
 
     def grid(self) -> forward.MeasurementGrid:
-        if self.grid_preset == "paper":
-            grid = forward.paper_grid()
-            if self.delta != 7:
-                grid = forward.MeasurementGrid(grid.shifts, grid.frequencies,
-                                               self.delta)
-            return grid
         return forward.half_integer_grid(self.n_frequencies, self.n_shifts,
                                          self.shift_spacing, self.delta)
 
@@ -100,33 +108,17 @@ class ExperimentConfig:
 
     def recovery_config(self) -> recovery.RecoveryConfig:
         return recovery.RecoveryConfig(
-            rank_tol=self.rank_tol, magnitude_floor=self.magnitude_floor,
-            power_tol=self.power_tol, max_power_iters=self.max_power_iters,
-            seed=self.seed, refine_iterations=self.refine_iterations)
+            rank_tol=self.rank_tol, refine_iterations=self.refine_iterations)
 
     def to_dict(self) -> dict:
-        return {
-            "signal": self.signal,
-            "window": self.window,
-            "grid": {
-                "preset": self.grid_preset,
-                "n_frequencies": self.n_frequencies,
-                "n_shifts": self.n_shifts,
-                "shift_spacing": self.shift_spacing,
-                "delta": self.delta,
-            },
-            "method": self.method,
-            "noise": (None if self.noise_level <= 0 else
-                      {"seed": self.noise_seed, "level": self.noise_level}),
-            "recovery": {
-                "rank_tol": self.rank_tol,
-                "magnitude_floor": self.magnitude_floor,
-                "power_tol": self.power_tol,
-                "max_power_iters": self.max_power_iters,
-                "seed": self.seed,
-                "refine_iterations": self.refine_iterations,
-            },
-        }
+        """The resolved configuration in config-file layout.  The output
+        directory is left out: it does not change any result."""
+        def section(table):
+            return {key: section(target) if isinstance(target, dict)
+                    else getattr(self, target)
+                    for key, target in table.items()
+                    if target not in (None, "out_dir")}
+        return section(CONFIG_KEYS)
 
 
 def _config_from_file(path) -> dict:
@@ -147,67 +139,65 @@ class _IOFailure(LiftphaseError):
 
 
 def _build_config(args, preset: dict | None = None) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if preset:
-        cfg = replace(cfg, **preset)
-    file_doc = _config_from_file(args.config) if getattr(args, "config", None) else {}
-    grid_doc, noise_doc, recovery_doc = (_section(file_doc, name)
-                                         for name in ("grid", "noise", "recovery"))
-    mapping = {
-        "signal": file_doc.get("signal"),
-        "window": file_doc.get("window"),
-        "method": file_doc.get("method"),
-        "out_dir": file_doc.get("out"),
-        "grid_preset": grid_doc.get("preset"),
-        "n_frequencies": grid_doc.get("n_frequencies"),
-        "n_shifts": grid_doc.get("n_shifts"),
-        "shift_spacing": grid_doc.get("shift_spacing"),
-        "delta": grid_doc.get("delta"),
-        "noise_seed": noise_doc.get("seed"),
-        "noise_level": noise_doc.get("level"),
-        **recovery_doc,
-    }
-    updates = {key: value for key, value in mapping.items() if value is not None}
-    _check_types(updates)
+    updates = dict(preset or {})
+    if getattr(args, "config", None):
+        doc = _config_from_file(args.config)
+        updates.update(_read_keys(doc, CONFIG_KEYS, ""))
+        _check_preset(doc.get("grid") or {})
     # flags override the file
     for attr, flag in (("signal", "signal"), ("window", "window"),
                        ("method", "method"), ("delta", "delta"),
                        ("noise_level", "noise_level"), ("noise_seed", "seed"),
-                       ("seed", "seed"), ("out_dir", "out")):
+                       ("out_dir", "out")):
         val = getattr(args, flag, None)
         if val is not None:
             updates[attr] = val
-    try:
-        cfg = replace(cfg, **updates)
-    except TypeError as exc:
-        raise ConfigError(f"unknown configuration key: {exc}") from exc
+    cfg = replace(ExperimentConfig(), **updates)
     _validate_config(cfg)
     return cfg
 
 
-def _section(doc: dict, name: str) -> dict:
-    section = doc.get(name)
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return section
+def _read_keys(doc: dict, table: dict, where: str) -> dict:
+    """Field updates from one level of a config document.  Null values count
+    as absent; a key the table does not list, or a value of the wrong type,
+    raises ConfigError."""
+    updates = {}
+    for key, value in doc.items():
+        if key not in table:
+            raise ConfigError(f"unknown config key {where + key!r}")
+        target = table[key]
+        if isinstance(target, dict):
+            if value is not None and not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be an object")
+            updates.update(_read_keys(value or {}, target, f"{where}{key}."))
+        elif target is not None and value is not None:
+            _check_type(where + key, type(getattr(ExperimentConfig, target)),
+                        value)
+            updates[target] = value
+    return updates
 
 
-def _check_types(updates: dict) -> None:
-    """Config-file values must have their field's type: strings, integers,
-    or finite numbers (booleans are not numbers here)."""
+def _check_preset(grid_doc: dict) -> None:
+    """``grid.preset`` selects nothing: the grid is always built from its
+    sizes, whose defaults are the paper grid.  It may say "paper" (then no
+    size key may be given) or "custom"."""
+    preset = grid_doc.get("preset")
+    if preset not in (None, "paper", "custom"):
+        raise ConfigError(f"grid.preset must be 'paper' or 'custom', got {preset!r}")
+    sizes = [key for key in _GRID_SIZE_KEYS if key in grid_doc]
+    if preset == "paper" and sizes:
+        raise ConfigError(f"grid.preset 'paper' fixes the grid size; drop {sizes} "
+                          f"or say 'custom'")
+
+
+def _check_type(key: str, expected: type, value) -> None:
+    """A config-file value must have its field's type: a string, an integer,
+    or a finite number (booleans are not numbers here)."""
     kinds = {str: "a string", int: "an integer", float: "a finite number"}
-    for field in fields(ExperimentConfig):
-        if field.name not in updates:
-            continue
-        value = updates[field.name]
-        expected = type(field.default)
-        allowed = (int, float) if expected is float else expected
-        if (isinstance(value, bool) or not isinstance(value, allowed)
-                or (expected is float and not math.isfinite(value))):
-            raise ConfigError(
-                f"{field.name} must be {kinds[expected]}, got {value!r}")
+    allowed = (int, float) if expected is float else expected
+    if (isinstance(value, bool) or not isinstance(value, allowed)
+            or (expected is float and not math.isfinite(value))):
+        raise ConfigError(f"{key} must be {kinds[expected]}, got {value!r}")
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
@@ -293,11 +283,11 @@ def cmd_experiment(args) -> int:
     t0 = time.perf_counter()
     data = _simulate(cfg)
     t_measure = time.perf_counter() - t0
-    write_json(out_dir / "measurement.json", data.to_dict())
 
     t0 = time.perf_counter()
     metrics = _recover_from_data(cfg, data, out_dir)
     t_recover = time.perf_counter() - t0
+    write_json(out_dir / "measurement.json", data.to_dict())
 
     write_json(out_dir / "metrics.json", {
         "experiment": args.name,
@@ -351,7 +341,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GridError, KeyError) as exc:
+    except (ConfigError, GridError, DimensionError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (_IOFailure, OSError) as exc:

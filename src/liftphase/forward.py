@@ -187,13 +187,13 @@ def _check_shift(window: Window, shift: float) -> None:
 
 
 def spectrogram_quadrature(signal: Signal, window: Window, shift: float,
-                           freq: float, tol: float = MEASUREMENT_TOL) -> float:
+                           freq: float) -> float:
     """Squared modulus of the windowed Fourier integral, by quadrature over
     the intersection of the signal and shifted-window supports."""
     _check_shift(window, shift)
     lo = max(-1.0, shift - window.half_width)
     hi = min(1.0, shift + window.half_width)
-    spec = QuadratureSpec(lo, hi, tolerance=tol, max_subdivisions=400)
+    spec = QuadratureSpec(lo, hi, tolerance=MEASUREMENT_TOL, max_subdivisions=400)
     val, _ = integrate_complex(
         lambda t: signal.evaluate(t) * window.evaluate(t - shift)
         * np.exp(-2j * np.pi * freq * t),
@@ -238,8 +238,8 @@ def spectrogram_series(signal: Signal, window: Window, shift: float,
 
 
 def measure(signal: Signal, window: Window, grid: MeasurementGrid,
-            method: str = "quadrature", noise: NoiseSpec | None = None,
-            tol: float = MEASUREMENT_TOL) -> SpectrogramData:
+            method: str = "quadrature", noise: NoiseSpec | None = None
+            ) -> SpectrogramData:
     """Full measurement vector on the grid, by either route.
 
     Entry ``(k, j)`` (shift-major flat index ``k * N + j``) is the
@@ -258,7 +258,7 @@ def measure(signal: Signal, window: Window, grid: MeasurementGrid,
             try:
                 if method == "quadrature":
                     values[k * n + j] = spectrogram_quadrature(
-                        signal, window, shift, freq, tol=tol)
+                        signal, window, shift, freq)
                 else:
                     values[k * n + j] = spectrogram_series(
                         signal, window, shift, freq, grid.delta)

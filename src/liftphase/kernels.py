@@ -214,40 +214,25 @@ class BandedMatrix:
         return float(np.abs(self._dense).max())
 
 
-def _as_matvec(h):
-    """Matvec closure plus (size, one_norm) for a dense array or BandedMatrix."""
-    if isinstance(h, BandedMatrix):
-        if not h.hermitian:
-            raise ValueError("banded operand must carry the hermitian flag")
-        return h.matvec, h.size, h.one_norm()
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionError(f"expected a square matrix, got {h.shape}")
-    scale = max(float(np.abs(h).max()), 1.0)
-    if not np.allclose(h, h.conj().T, atol=1e-12 * scale):
-        raise ValueError("matrix is not Hermitian")
-    return (lambda v: h @ v), h.shape[0], float(np.abs(h).sum(axis=0).max())
-
-
 def leading_eigenvector(
-    h,
+    h: BandedMatrix,
     iter_tol: float = 1e-10,
     max_iters: int = 20000,
-    seed: int = 0,
     deflate: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Dominant eigenpair of a Hermitian matrix by shifted power iteration.
+    """Dominant eigenpair of a Hermitian banded matrix by shifted power
+    iteration.
 
     The iteration runs on ``H + (||H||_1 + 1) I``, which is positive
     definite, so it converges to the algebraically largest eigenvalue of
     ``H`` (the largest-magnitude eigenvalue of the shifted operator).  The
     start vector is all-ones plus a small pseudo-random perturbation drawn
-    from ``numpy.random.default_rng(seed)``, making runs reproducible.
+    from ``numpy.random.default_rng(0)``, making runs reproducible.
 
     Parameters
     ----------
     h
-        Dense ndarray or a Hermitian :class:`BandedMatrix`.
+        A :class:`BandedMatrix` built with ``hermitian=True``.
     deflate
         Optional unit vector; the iteration is confined to its orthogonal
         complement (used to estimate the second eigenvalue).
@@ -262,12 +247,14 @@ def leading_eigenvector(
     NonConvergence
         If the residual tolerance is not met within ``max_iters``.
     """
+    if not h.hermitian:
+        raise ValueError("banded operand must carry the hermitian flag")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    matvec, n, norm1 = _as_matvec(h)
-    shift = norm1 + 1.0
+    n = h.size
+    shift = h.one_norm() + 1.0
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = np.ones(n, dtype=complex)
     v += 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
@@ -284,7 +271,7 @@ def leading_eigenvector(
 
     lam = 0.0
     for _ in range(max_iters):
-        hv = matvec(v)
+        hv = h.matvec(v)
         lam = float(np.real(np.vdot(v, hv)))
         if np.linalg.norm(hv - lam * v) <= iter_tol:
             return v, lam

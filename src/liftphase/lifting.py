@@ -7,14 +7,12 @@ lattice; stacking the blocks gives the map whose row for (shift l, frequency
 w) reads a window of the outer-product matrix.  Because each Toeplitz row
 reaches 2*delta indices either side of its center, the quadratic form
 touches products up to 4*delta apart, so the banded unknown carries band
-half-width 4*delta by default; the measurement matrix acting on those
-in-band coordinates is materialized densely for the least-squares solve
+half-width 4*delta; the measurement matrix acting on those in-band
+coordinates is materialized densely for the least-squares solve
 while the per-shift structured form is kept for fast forward application.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from .kernels import BandedMatrix
 from .signals import Window
 
 __all__ = [
-    "ShiftVector",
     "shift_vector",
     "toeplitz_block",
     "LiftedSystem",
@@ -35,60 +32,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftVector:
-    """Window-transform samples with shift-dependent phases.
+def shift_vector(window: Window, shift: float, delta: int) -> np.ndarray:
+    """Lattice samples of the window transform, phase-twisted by the shift.
 
-    ``values[t + 2*delta]`` holds ``exp(i pi l t) * ghat(t/2)`` for the
-    twice-index ``t`` in ``[-2*delta, 2*delta]`` (half-integer lattice points
-    ``t/2``, stored by integer twice-indices to keep lookups exact).  The
+    Entry ``t + 2*delta`` of the read-only result holds
+    ``exp(i pi l t) * ghat(t/2)`` for the twice-index ``t`` in
+    ``[-2*delta, 2*delta]`` (half-integer lattice points ``t/2``).  The
     phase sign matches the series of
     :func:`~liftphase.forward.spectrogram_series`, so row (l, w) of the
     lifted operator models the window centered at ``+l``.
     """
-
-    shift: float
-    delta: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=complex)
-        if vals.shape != (4 * self.delta + 1,):
-            raise DimensionError("shift vector must have 4*delta + 1 entries")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def at_twice_index(self, t: int) -> complex:
-        if abs(t) > 2 * self.delta:
-            return 0.0 + 0.0j
-        return complex(self.values[t + 2 * self.delta])
-
-
-def shift_vector(window: Window, shift: float, delta: int) -> ShiftVector:
-    """Lattice samples of the window transform, phase-twisted by the shift."""
     bound = 1.0 - window.half_width
     if not -bound <= shift <= bound:
         raise GridError(f"shift {shift} outside [{-bound}, {bound}]")
     t = np.arange(-2 * delta, 2 * delta + 1)
     ghat = np.array([window.fourier(ti / 2.0) for ti in t], dtype=complex)
-    return ShiftVector(shift, delta, np.exp(1j * np.pi * shift * t) * ghat)
+    values = np.exp(1j * np.pi * shift * t) * ghat
+    values.setflags(write=False)
+    return values
 
 
-def toeplitz_block(x: ShiftVector, n_frequencies: int) -> np.ndarray:
-    """Dense banded Toeplitz block: entry (i, j) is the shift-vector value at
-    twice-index ``j - i`` when ``|j - i| <= 2*delta``, else zero."""
-    if n_frequencies < 4 * x.delta + 1:
+def toeplitz_block(values: np.ndarray, n_frequencies: int) -> np.ndarray:
+    """Dense banded Toeplitz block of a shift vector: entry (i, j) is
+    ``values[j - i + 2*delta]`` when ``|j - i| <= 2*delta``, else zero."""
+    reach = (len(values) - 1) // 2
+    if n_frequencies < len(values):
         raise DimensionError(
-            f"need at least {4 * x.delta + 1} frequencies for delta={x.delta}"
+            f"need at least {len(values)} frequencies for delta={reach // 2}"
         )
     block = np.zeros((n_frequencies, n_frequencies), dtype=complex)
-    for t in range(-2 * x.delta, 2 * x.delta + 1):
-        val = x.at_twice_index(t)
+    for t in range(-reach, reach + 1):
         idx = np.arange(n_frequencies - abs(t))
         if t >= 0:
-            block[idx, idx + t] = val
+            block[idx, idx + t] = values[t + reach]
         else:
-            block[idx - t, idx] = val
+            block[idx - t, idx] = values[t + reach]
     return block
 
 
@@ -115,19 +93,19 @@ class LiftedSystem:
     cached for repeated solves.
     """
 
-    def __init__(self, window: Window, grid: MeasurementGrid, band: int):
+    def __init__(self, window: Window, grid: MeasurementGrid):
         n = grid.n_frequencies
         if n < 4 * grid.delta + 1:
-            raise DimensionError("grid too small for the truncation radius")
-        if not 1 <= band <= n - 1:
-            raise DimensionError(f"band {band} out of range for {n} frequencies")
+            raise DimensionError(
+                f"{n} frequencies are too few for delta={grid.delta}: "
+                f"the lifted system needs at least {4 * grid.delta + 1}")
         self.window = window
         self.grid = grid
-        self.band = band
+        self.band = 4 * grid.delta
         self.shift_vectors = [shift_vector(window, l, grid.delta)
                               for l in grid.shifts]
         offsets = np.subtract.outer(np.arange(n), np.arange(n))
-        self.row_index, self.col_index = np.nonzero(np.abs(offsets) <= band)
+        self.row_index, self.col_index = np.nonzero(np.abs(offsets) <= self.band)
         self._matrix: np.ndarray | None = None
         self._factorization = None
 
@@ -138,10 +116,6 @@ class LiftedSystem:
     @property
     def n_unknowns(self) -> int:
         return self.row_index.size
-
-    @property
-    def key(self) -> tuple:
-        return (self.window.key, self.grid.key, self.band)
 
     def pack(self, f: BandedMatrix) -> np.ndarray:
         """In-band entries of ``f`` in row-major band order."""
@@ -173,8 +147,7 @@ class LiftedSystem:
             n = self.grid.n_frequencies
             delta = self.grid.delta
             m = np.zeros((self.n_measurements, self.n_unknowns), dtype=complex)
-            for k, sv in enumerate(self.shift_vectors):
-                vals = sv.values
+            for k, vals in enumerate(self.shift_vectors):
                 for r in range(n):
                     ti = self.row_index - r
                     tj = self.col_index - r
@@ -197,17 +170,14 @@ class LiftedSystem:
         return self._matrix is not None
 
 
-def assemble_system(window: Window, grid: MeasurementGrid,
-                    band: int | None = None) -> LiftedSystem:
+def assemble_system(window: Window, grid: MeasurementGrid) -> LiftedSystem:
     """Build the lifted system for a window and measurement grid.
 
-    ``band`` is the half-width of the banded unknown; the default
-    ``4 * delta`` covers every product the quadratic form can reach, which
-    makes the structured forward agree with the truncated series exactly.
+    The banded unknown has half-width ``4 * delta``, which covers every
+    product the quadratic form can reach, so the structured forward agrees
+    with the truncated series exactly.
     """
-    if band is None:
-        band = min(4 * grid.delta, grid.n_frequencies - 1)
-    return LiftedSystem(window, grid, band)
+    return LiftedSystem(window, grid)
 
 
 def forward_lifted(system: LiftedSystem, f: BandedMatrix,
@@ -228,8 +198,7 @@ def forward_lifted(system: LiftedSystem, f: BandedMatrix,
     # window blocks depend only on the row, not the shift
     blocks = [f.window(r, 2 * delta) for r in range(n)]
     out = np.empty(system.n_measurements)
-    for k, sv in enumerate(system.shift_vectors):
-        vals = sv.values
+    for k, vals in enumerate(system.shift_vectors):
         for r in range(n):
             lo, block = blocks[r]
             x = vals[(lo - r) + 2 * delta:(lo - r) + 2 * delta + block.shape[0]]

@@ -36,29 +36,34 @@ __all__ = [
 ]
 
 
+#: Relative magnitude below which a band entry carries no phase information
+#: into synchronization.
+MAGNITUDE_FLOOR = 1e-6
+#: Residual tolerance and iteration budget of the synchronization power
+#: iterations.
+POWER_TOL = 1e-10
+MAX_POWER_ITERS = 50000
+
+
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Tolerances and knobs for the inversion pipeline.
+    """Tolerances for the inversion pipeline.
 
-    ``refine_iterations`` counts alternating-projection sweeps toward the
-    rank-one positive-semidefinite representative of the solution set;
-    zero disables refinement and keeps the plain minimum-norm solution.
+    ``rank_tol`` is the relative singular-value cutoff of the least-squares
+    solve.  ``refine_iterations`` counts alternating-projection sweeps
+    toward the rank-one positive-semidefinite representative of the
+    solution set; zero disables refinement and keeps the plain minimum-norm
+    solution.
     """
 
     rank_tol: float = 1e-10
-    magnitude_floor: float = 1e-6
-    power_tol: float = 1e-10
-    max_power_iters: int = 50000
-    seed: int = 0
     refine_iterations: int = 30
 
     def __post_init__(self):
-        if self.rank_tol <= 0 or self.power_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        if not 0.0 < self.magnitude_floor < 1.0:
-            raise ConfigError("magnitude_floor must lie in (0, 1)")
-        if self.max_power_iters < 1 or self.refine_iterations < 0:
-            raise ConfigError("iteration counts out of range")
+        if self.rank_tol <= 0:
+            raise ConfigError("rank_tol must be positive")
+        if self.refine_iterations < 0:
+            raise ConfigError("refine_iterations must be >= 0")
 
 
 @dataclass
@@ -116,20 +121,17 @@ _system_cache: dict[tuple, LiftedSystem] = {}
 _cache_lock = threading.Lock()
 
 
-def cached_system(window: Window, grid: MeasurementGrid,
-                  band: int | None = None) -> LiftedSystem:
+def cached_system(window: Window, grid: MeasurementGrid) -> LiftedSystem:
     """Assembled system with cached dense matrix, shared per (window, grid).
 
     Population is single-flight under a lock so concurrent recoveries reuse
     one factorization.
     """
-    if band is None:
-        band = min(4 * grid.delta, grid.n_frequencies - 1)
-    key = (window.key, grid.key, band)
+    key = (window.key, grid.key)
     with _cache_lock:
         system = _system_cache.get(key)
         if system is None:
-            system = assemble_system(window, grid, band)
+            system = assemble_system(window, grid)
             _system_cache[key] = system
     return system
 
@@ -202,13 +204,12 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: BandedMatrix,
     return refined, (resid / bnorm if bnorm > 0 else 0.0)
 
 
-def angular_synchronize(f: BandedMatrix, cfg: RecoveryConfig | None = None,
-                        frequencies=None) -> RecoveredSpectrum:
+def angular_synchronize(f: BandedMatrix, frequencies=None) -> RecoveredSpectrum:
     """Extract the spectrum from a banded Hermitian outer-product estimate.
 
     Magnitudes are the square roots of the diagonal.  Phases are the
     entrywise arguments of the leading eigenvector of the phase-normalized
-    band matrix: in-band entries at least ``magnitude_floor`` times the
+    band matrix: in-band entries at least ``MAGNITUDE_FLOOR`` times the
     largest in-band magnitude are replaced by their unit-modulus phases,
     everything else by zero, and the diagonal by ones.  The output is
     defined up to one global unimodular factor.  The residual and rank
@@ -222,7 +223,6 @@ def angular_synchronize(f: BandedMatrix, cfg: RecoveryConfig | None = None,
         1 + 1e-6), e.g. when no off-diagonal phase information survives
         the floor.
     """
-    cfg = cfg or RecoveryConfig()
     if not f.hermitian:
         raise DimensionError("synchronization needs structurally Hermitian input")
     n = f.size
@@ -236,16 +236,15 @@ def angular_synchronize(f: BandedMatrix, cfg: RecoveryConfig | None = None,
 
     dense = f.to_dense()
     mags = np.abs(dense)
-    phases = np.where(mags >= cfg.magnitude_floor * f.max_abs(),
+    phases = np.where(mags >= MAGNITUDE_FLOOR * f.max_abs(),
                       dense / np.where(mags > 0, mags, 1.0), 0.0)
     np.fill_diagonal(phases, 1.0)
     normalized = BandedMatrix.from_dense(phases, f.half_width, hermitian=True)
 
-    vec, lam1 = leading_eigenvector(normalized, iter_tol=cfg.power_tol,
-                                    max_iters=cfg.max_power_iters, seed=cfg.seed)
-    _, lam2 = leading_eigenvector(normalized, iter_tol=cfg.power_tol,
-                                  max_iters=cfg.max_power_iters, seed=cfg.seed,
-                                  deflate=vec)
+    vec, lam1 = leading_eigenvector(normalized, iter_tol=POWER_TOL,
+                                    max_iters=MAX_POWER_ITERS)
+    _, lam2 = leading_eigenvector(normalized, iter_tol=POWER_TOL,
+                                  max_iters=MAX_POWER_ITERS, deflate=vec)
     gap = float("inf") if lam2 <= 0 else lam1 / lam2
     if gap < 1.0 + 1e-6:
         raise DegenerateSpectrum(
@@ -263,13 +262,17 @@ def recover(data: SpectrogramData, window: Window,
             cfg: RecoveryConfig | None = None) -> RecoveredSpectrum:
     """Full inversion: assemble (cached), solve, refine, synchronize.
 
-    Zero measurements short-circuit to the zero spectrum (there is no phase
-    information to synchronize).
+    The grid must be the half-integer lattice, which is checked before any
+    system is assembled.  Zero measurements short-circuit to the zero
+    spectrum (there is no phase information to synchronize).
     """
     cfg = cfg or RecoveryConfig()
     grid = grid or data.grid
     if grid != data.grid:
         raise GridError("measurement grid does not match the requested grid")
+    if not grid.is_half_integer_lattice():
+        raise GridError("measurement frequencies must be the half-integer "
+                        "lattice (j - 2n - 1)/2, j = 1..4n+1")
     freqs = np.asarray(grid.frequencies, dtype=float)
 
     if not np.any(data.values > 0):
@@ -282,7 +285,7 @@ def recover(data: SpectrogramData, window: Window,
     if cfg.refine_iterations > 0:
         f, refine_residual = _refine_rank_one(system, data.values, f, cfg)
         diagnostics.refine_residual = refine_residual
-    spectrum = angular_synchronize(f, cfg, frequencies=freqs)
+    spectrum = angular_synchronize(f, frequencies=freqs)
     diagnostics.eigen_gap = spectrum.diagnostics.eigen_gap
     spectrum.diagnostics = diagnostics
     return spectrum

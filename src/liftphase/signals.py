@@ -37,10 +37,10 @@ class Signal:
 
     support = (-1.0, 1.0)
 
-    def __init__(self, name: str, evaluator, transform_tol: float = _TRANSFORM_TOL):
+    def __init__(self, name: str, evaluator):
         self.name = name
         self._evaluator = evaluator
-        self._spec = QuadratureSpec(-1.0, 1.0, tolerance=transform_tol,
+        self._spec = QuadratureSpec(-1.0, 1.0, tolerance=_TRANSFORM_TOL,
                                     max_subdivisions=400)
         self._transform_cache: dict[float, complex] = {}
 
@@ -78,8 +78,7 @@ class Window:
     of the squared profile, so that the L2 norm is 1 to within 1e-10.
     """
 
-    def __init__(self, name: str, profile, half_width: float,
-                 transform_tol: float = _TRANSFORM_TOL):
+    def __init__(self, name: str, profile, half_width: float):
         if not 0.0 < half_width < 1.0:
             raise ValueError("window half-width must lie in (0, 1)")
         self.name = name
@@ -92,7 +91,7 @@ class Window:
         )
         self.normalization = 1.0 / math.sqrt(sq.real)
         self._spec = QuadratureSpec(-half_width, half_width,
-                                    tolerance=transform_tol, max_subdivisions=400)
+                                    tolerance=_TRANSFORM_TOL, max_subdivisions=400)
         self._transform_cache: dict[float, complex] = {}
 
     def evaluate(self, t):

@@ -43,9 +43,10 @@ class PhysicalReconstruction:
         self.values = np.asarray(self.values, dtype=complex)
 
 
-def default_grid(n_points: int = 82, spacing: float = 1.0 / 40.96) -> np.ndarray:
-    """Uniform reconstruction grid from -1, matching the bundled experiments."""
-    return -1.0 + spacing * np.arange(n_points)
+def default_grid() -> np.ndarray:
+    """Uniform reconstruction grid of the bundled experiments: 82 points from
+    -1 in steps of 1/40.96."""
+    return -1.0 + (1.0 / 40.96) * np.arange(82)
 
 
 def _require_half_integer(frequencies: np.ndarray) -> None:

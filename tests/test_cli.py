@@ -134,6 +134,27 @@ class TestExperiment:
                      "reconstruction.csv", "metrics.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_failed_recovery_leaves_no_artifact(self, tmp_path):
+        # the zero signal measures and recovers, then the error evaluation
+        # raises ZeroSignal: measurement.json must not be left behind
+        out = tmp_path / "zero"
+        code = run_cli(["experiment", "paper-1", "--method", "series",
+                        "--signal", "zero", "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        assert list(out.iterdir()) == []
+
+    def test_grid_too_small_for_delta_exits_config(self, tmp_path):
+        # delta = 6 needs 4*6 + 1 = 25 frequencies; the grid has 21
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"grid": {
+            "n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
+            "delta": 6}}))
+        out = tmp_path / "out"
+        code = run_cli(["experiment", "paper-1", "--method", "series",
+                        "--config", str(cfg_path), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
     def test_noise_level_recorded_in_artifact(self, tmp_path):
         out = tmp_path / "noisy"
         run_cli(["experiment", "paper-1", "--method", "series",
@@ -164,6 +185,51 @@ class TestConfigResolution:
         assert run_cli(["simulate", "--config", str(cfg_path),
                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("document, key", [
+        ({"sigal": "modulated"}, "sigal"),
+        ({"grid": {"detla": 9}}, "grid.detla"),
+        ({"recovery": {"out_dir": "leaked"}}, "recovery.out_dir"),
+        ({"recovery": {"magnitude_floor": 1e-3}}, "recovery.magnitude_floor"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, capsys, document, key):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(document))
+        assert run_cli(["simulate", "--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", [None, "custom"])
+    def test_grid_sizes_set_the_grid(self, tmp_path, preset):
+        grid = {"n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
+                "delta": 3}
+        if preset is not None:
+            grid["preset"] = preset
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"grid": grid}))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--signal", "zero", "--method", "series",
+                        "--config", str(cfg_path), "--out", str(out)]) == 0
+        doc = json.loads((out / "measurement.json").read_text())
+        assert len(doc["grid"]["frequencies"]) == 21
+        assert len(doc["b"]) == 147
+
+    def test_resolved_config_reads_back(self, tmp_path):
+        # to_dict writes the config-file layout the reader accepts
+        def resolve(document):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(document))
+            return cli._build_config(cli._parser().parse_args(
+                ["simulate", "--config", str(path)]))
+
+        first = resolve({
+            "signal": "modulated", "method": "series",
+            "grid": {"preset": "custom", "n_frequencies": 21, "n_shifts": 7,
+                     "shift_spacing": 0.1, "delta": 3},
+            "noise": {"seed": 4, "level": 0.01},
+            "recovery": {"rank_tol": 1e-8, "refine_iterations": 5},
+        })
+        assert resolve(first.to_dict()) == first
+
     def test_bad_json_config(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text("{not json")
@@ -176,6 +242,12 @@ class TestConfigResolution:
         {"grid": {"delta": "7"}},
         {"noise": {"level": "x"}},
         {"recovery": {"rank_tol": float("nan")}},
+        {"recovery": {"out_dir": "leaked", "delta": 4}},
+        {"sigal": "modulated"},
+        {"grid": {"detla": 9}},
+        {"grid": {"preset": "bogus"}},
+        {"grid": {"preset": "paper", "n_frequencies": 21}},
+        {"recovery": {"max_power_iters": 1}},
     ])
     def test_wrongly_typed_config_exits_config(self, tmp_path, document):
         cfg_path = tmp_path / "config.json"

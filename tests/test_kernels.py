@@ -104,9 +104,15 @@ class TestMinNormLeastSquares:
             min_norm_least_squares(np.eye(3), np.ones(2))
 
 
+def full_band(h):
+    """A dense Hermitian matrix as a full-band Hermitian BandedMatrix."""
+    h = np.asarray(h, dtype=complex)
+    return BandedMatrix.from_dense(h, h.shape[0] - 1, hermitian=True)
+
+
 class TestLeadingEigenvector:
     def test_diagonal(self):
-        v, lam = leading_eigenvector(np.diag([3.0, 1.0]).astype(complex))
+        v, lam = leading_eigenvector(full_band(np.diag([3.0, 1.0])))
         assert lam == pytest.approx(3.0, abs=1e-10)
         assert abs(v[0]) == pytest.approx(1.0, abs=1e-9)
 
@@ -116,7 +122,7 @@ class TestLeadingEigenvector:
         u += 0.3 * np.sign(u.real) + 0.3j * np.sign(u.imag)  # keep entries away from 0
         u /= np.linalg.norm(u)
         h = np.outer(u, np.conj(u))
-        v, lam = leading_eigenvector(h, iter_tol=1e-12)
+        v, lam = leading_eigenvector(full_band(h), iter_tol=1e-12)
         assert lam == pytest.approx(1.0, abs=1e-10)
         assert abs(np.vdot(v, u)) == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(h @ v - lam * v) <= 1e-10
@@ -143,21 +149,22 @@ class TestLeadingEigenvector:
         rng = np.random.default_rng(7)
         h = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         h = 0.5 * (h + h.conj().T)
-        v, lam = leading_eigenvector(h, iter_tol=1e-11)
+        v, lam = leading_eigenvector(full_band(h), iter_tol=1e-11)
         assert np.real(np.vdot(v, h @ v)) == pytest.approx(lam, abs=1e-10)
-        v2, lam2 = leading_eigenvector(2.5 * h, iter_tol=1e-10)
+        v2, lam2 = leading_eigenvector(full_band(2.5 * h), iter_tol=1e-10)
         assert lam2 == pytest.approx(2.5 * lam, rel=1e-8)
         assert abs(np.vdot(v, v2)) == pytest.approx(1.0, abs=1e-8)
 
     def test_nonconvergence(self):
-        h = np.diag([1.0 + 1e-12, 1.0]).astype(complex)
+        h = full_band(np.diag([1.0 + 1e-12, 1.0]))
         # the trivial fixed points are excluded by the perturbed start vector
         with pytest.raises(NonConvergence):
             leading_eigenvector(h, iter_tol=1e-14, max_iters=3)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            leading_eigenvector(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            leading_eigenvector(BandedMatrix.from_dense(
+                np.array([[0.0, 1.0], [0.0, 0.0]]), 1))
 
 
 class TestBandedMatrix:

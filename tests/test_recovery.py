@@ -211,12 +211,26 @@ class TestRecover:
         with pytest.raises(ConfigError):
             lp.RecoveryConfig(rank_tol=0.0)
         with pytest.raises(ConfigError):
-            lp.RecoveryConfig(magnitude_floor=1.5)
-        with pytest.raises(ConfigError):
             lp.RecoveryConfig(refine_iterations=-1)
 
     def test_system_cache_shares_instances(self, window, grid):
         assert lp.cached_system(window, grid) is lp.cached_system(window, grid)
+
+    def test_off_lattice_grid_rejected_before_assembly(self, window,
+                                                        monkeypatch):
+        from liftphase import recovery
+        from liftphase.exceptions import GridError
+
+        def forbidden(*args):
+            raise AssertionError("a system was assembled for off-lattice data")
+
+        monkeypatch.setattr(recovery, "assemble_system", forbidden)
+        lattice = lp.half_integer_grid(21, 7, 0.5 / 7.0, 3)
+        grid = lp.MeasurementGrid(lattice.shifts,
+                                  tuple(w + 0.1 for w in lattice.frequencies), 3)
+        data = lp.SpectrogramData(np.ones(7 * 21), grid, provenance="series")
+        with pytest.raises(GridError):
+            lp.recover(data, window)
 
     def test_rejects_mismatched_grid(self, b_series, window):
         from liftphase.exceptions import GridError
