@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import forward, recovery, signals, synthesis
+from . import forward, lifting, recovery, signals, synthesis
 from .exceptions import (ConfigError, DecompositionFailure, DegenerateSpectrum,
                          DimensionError, GridError, LiftphaseError,
                          NonConvergence, ZeroSignal)
@@ -215,10 +215,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _simulate(cfg: ExperimentConfig) -> forward.SpectrogramData:
-    data = forward.measure(signals.get_signal(cfg.signal),
+    return forward.measure(signals.get_signal(cfg.signal),
                            signals.get_window(cfg.window),
                            cfg.grid(), method=cfg.method, noise=cfg.noise())
-    return data
 
 
 def cmd_simulate(args) -> int:
@@ -279,6 +278,8 @@ def cmd_experiment(args) -> int:
     cfg = _build_config(args, preset=preset)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # recovery would reject the grid; say so before paying for measurement
+    lifting.require_band(cfg.n_frequencies, cfg.delta)
 
     t0 = time.perf_counter()
     data = _simulate(cfg)

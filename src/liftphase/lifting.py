@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionError, GridError
-from .forward import MeasurementGrid
+from .exceptions import DimensionError
+from .forward import MeasurementGrid, check_shift
 from .kernels import BandedMatrix
 from .signals import Window
 
@@ -42,12 +42,9 @@ def shift_vector(window: Window, shift: float, delta: int) -> np.ndarray:
     :func:`~liftphase.forward.spectrogram_series`, so row (l, w) of the
     lifted operator models the window centered at ``+l``.
     """
-    bound = 1.0 - window.half_width
-    if not -bound <= shift <= bound:
-        raise GridError(f"shift {shift} outside [{-bound}, {bound}]")
+    check_shift(window, shift)
     t = np.arange(-2 * delta, 2 * delta + 1)
-    ghat = np.array([window.fourier(ti / 2.0) for ti in t], dtype=complex)
-    values = np.exp(1j * np.pi * shift * t) * ghat
+    values = np.exp(1j * np.pi * shift * t) * window.fourier(t / 2.0)
     values.setflags(write=False)
     return values
 
@@ -68,6 +65,14 @@ def toeplitz_block(values: np.ndarray, n_frequencies: int) -> np.ndarray:
         else:
             block[idx - t, idx] = values[t + reach]
     return block
+
+
+def require_band(n_frequencies: int, delta: int) -> None:
+    """Raise DimensionError unless a row's 4*delta + 1 frequencies fit."""
+    if n_frequencies < 4 * delta + 1:
+        raise DimensionError(
+            f"{n_frequencies} frequencies are too few for delta={delta}: "
+            f"the lifted system needs at least {4 * delta + 1}")
 
 
 def band_coordinate_count(size: int, half_width: int) -> int:
@@ -95,10 +100,7 @@ class LiftedSystem:
 
     def __init__(self, window: Window, grid: MeasurementGrid):
         n = grid.n_frequencies
-        if n < 4 * grid.delta + 1:
-            raise DimensionError(
-                f"{n} frequencies are too few for delta={grid.delta}: "
-                f"the lifted system needs at least {4 * grid.delta + 1}")
+        require_band(n, grid.delta)
         self.window = window
         self.grid = grid
         self.band = 4 * grid.delta

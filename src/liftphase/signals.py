@@ -2,9 +2,10 @@
 
 Signals live on [-1, 1]; windows live on [-a, a] with a < 1 and are
 normalized to unit L2 norm.  Both expose time-domain evaluation and a
-Fourier-transform evaluator backed by adaptive quadrature of the truncated
-profile (truncation tails matter at the 1e-6 level, so closed forms of the
-untruncated profiles are used only as test oracles, never in the pipeline).
+Fourier-transform evaluator backed by Gauss-Legendre quadrature of the
+truncated profile, one call per array of frequencies (truncation tails
+matter at the 1e-6 level, so closed forms of the untruncated profiles are
+used only as test oracles, never in the pipeline).
 """
 
 from __future__ import annotations
@@ -32,17 +33,22 @@ __all__ = [
 _TRANSFORM_TOL = 5e-13
 
 
-class Signal:
-    """Complex signal supported on [-1, 1] with cached Fourier evaluation."""
+def _transform(evaluate, half_width: float, freq):
+    """Integral of evaluate(t) e^{-2 pi i freq t} over [-half_width,
+    half_width], one certified column per frequency."""
+    freqs = np.asarray(freq, dtype=float)
+    values, _ = integrate_complex(lambda t: evaluate(t)[:, None] * np.exp(
+        -2j * np.pi * np.multiply.outer(t, freqs.ravel())),
+        QuadratureSpec(-half_width, half_width, tolerance=_TRANSFORM_TOL))
+    return complex(values[0]) if freqs.ndim == 0 else values.reshape(freqs.shape)
 
-    support = (-1.0, 1.0)
+
+class Signal:
+    """Complex signal supported on [-1, 1] with Fourier evaluation."""
 
     def __init__(self, name: str, evaluator):
         self.name = name
         self._evaluator = evaluator
-        self._spec = QuadratureSpec(-1.0, 1.0, tolerance=_TRANSFORM_TOL,
-                                    max_subdivisions=400)
-        self._transform_cache: dict[float, complex] = {}
 
     def evaluate(self, t):
         """Vectorized time-domain evaluation; zero outside [-1, 1]."""
@@ -51,24 +57,11 @@ class Signal:
         vals = np.where(inside, self._evaluator(np.where(inside, t, 0.0)), 0.0)
         return vals.astype(complex)
 
-    def __call__(self, t):
-        return self.evaluate(t)
-
-    def fourier(self, freq: float) -> complex:
-        """Fourier transform at one frequency, integral of f(t) e^{-2 pi i freq t}.
-
-        Values are cached per frequency so lattice evaluations are computed
-        once per run.
-        """
-        freq = float(freq)
-        cached = self._transform_cache.get(freq)
-        if cached is not None:
-            return cached
-        val, _ = integrate_complex(
-            lambda t: self.evaluate(t) * np.exp(-2j * np.pi * freq * t), self._spec
-        )
-        self._transform_cache[freq] = val
-        return val
+    def fourier(self, freq):
+        """Fourier transform, integral of f(t) e^{-2 pi i freq t}: a complex
+        for a scalar frequency, an array of its shape for an array.  Each
+        value is the same whatever else the array holds."""
+        return _transform(self.evaluate, 1.0, freq)
 
 
 class Window:
@@ -84,15 +77,9 @@ class Window:
         self.name = name
         self.half_width = half_width
         self._profile = profile
-        norm_spec = QuadratureSpec(-half_width, half_width, tolerance=1e-13,
-                                   max_subdivisions=400)
-        sq, _ = integrate_complex(
-            lambda t: np.abs(profile(t)) ** 2 + 0j, norm_spec
-        )
+        norm_spec = QuadratureSpec(-half_width, half_width, tolerance=1e-13)
+        sq, _ = integrate_complex(lambda t: np.abs(profile(t)) ** 2, norm_spec)
         self.normalization = 1.0 / math.sqrt(sq.real)
-        self._spec = QuadratureSpec(-half_width, half_width,
-                                    tolerance=_TRANSFORM_TOL, max_subdivisions=400)
-        self._transform_cache: dict[float, complex] = {}
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -102,19 +89,9 @@ class Window:
                         0.0)
         return vals.astype(complex)
 
-    def __call__(self, t):
-        return self.evaluate(t)
-
-    def fourier(self, freq: float) -> complex:
-        freq = float(freq)
-        cached = self._transform_cache.get(freq)
-        if cached is not None:
-            return cached
-        val, _ = integrate_complex(
-            lambda t: self.evaluate(t) * np.exp(-2j * np.pi * freq * t), self._spec
-        )
-        self._transform_cache[freq] = val
-        return val
+    def fourier(self, freq):
+        """Fourier transform of the window, as :meth:`Signal.fourier`."""
+        return _transform(self.evaluate, self.half_width, freq)
 
     @property
     def key(self) -> tuple:
@@ -153,8 +130,7 @@ def phase_rotated(signal: Signal, theta: float) -> Signal:
 
 def fourier_samples(signal: Signal, frequencies) -> np.ndarray:
     """Fourier transform of the signal at each frequency (ground-truth vector)."""
-    return np.array([signal.fourier(w) for w in np.asarray(frequencies, dtype=float)],
-                    dtype=complex)
+    return signal.fourier(np.asarray(frequencies, dtype=float))
 
 
 _SIGNAL_FACTORIES = {
@@ -164,25 +140,18 @@ _SIGNAL_FACTORIES = {
 }
 _WINDOW_FACTORIES = {"gaussian": gaussian_window}
 
-_signal_instances: dict[str, Signal] = {}
-_window_instances: dict[str, Window] = {}
-
 
 def get_signal(name: str) -> Signal:
-    """Catalog lookup; instances are shared so transform caches are reused."""
+    """Catalog lookup; each call builds a new instance."""
     if name not in _SIGNAL_FACTORIES:
         raise KeyError(f"unknown signal {name!r}; have {sorted(_SIGNAL_FACTORIES)}")
-    if name not in _signal_instances:
-        _signal_instances[name] = _SIGNAL_FACTORIES[name]()
-    return _signal_instances[name]
+    return _SIGNAL_FACTORIES[name]()
 
 
 def get_window(name: str) -> Window:
     if name not in _WINDOW_FACTORIES:
         raise KeyError(f"unknown window {name!r}; have {sorted(_WINDOW_FACTORIES)}")
-    if name not in _window_instances:
-        _window_instances[name] = _WINDOW_FACTORIES[name]()
-    return _window_instances[name]
+    return _WINDOW_FACTORIES[name]()
 
 
 def signal_names() -> list[str]:

@@ -1,8 +1,11 @@
 """Shared fixtures: grids, catalog signals, and the expensive measurement
 vectors / factorizations are computed once per session."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 import liftphase as lp
 
@@ -103,3 +106,41 @@ def align_phase(candidate, reference):
     if corr == 0:
         return candidate
     return candidate * np.exp(1j * np.angle(corr))
+
+
+def adaptive_integral(integrand, lower, upper, tolerance):
+    """Oracle: adaptive Gauss-Kronrod quadrature (quadpack) of a scalar
+    complex integrand, real and imaginary parts separately.  Returns the
+    value and the sum of the two parts' error estimates."""
+    # quadpack stops once its estimate crosses the request, so ask for an
+    # eighth of the tolerance to keep the reported estimate below it
+    inner = tolerance * 0.125
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        re_val, re_err = integrate.quad(
+            lambda t: complex(integrand(t)).real, lower, upper,
+            epsabs=inner, epsrel=0.0, limit=400)
+        im_val, im_err = integrate.quad(
+            lambda t: complex(integrand(t)).imag, lower, upper,
+            epsabs=inner, epsrel=0.0, limit=400)
+    err = re_err + im_err
+    assert err <= tolerance, f"oracle error estimate {err:.2e} above {tolerance:.2e}"
+    return complex(re_val, im_val), err
+
+
+def adaptive_fourier(obj, freq, lower, upper, tolerance=5e-13):
+    """Oracle for ``Signal.fourier`` / ``Window.fourier`` at one frequency,
+    over the support [lower, upper]."""
+    return adaptive_integral(
+        lambda t: obj.evaluate(t) * np.exp(-2j * np.pi * freq * t),
+        lower, upper, tolerance)[0]
+
+
+def adaptive_spectrogram(signal, window, shift, freq, tolerance=2e-11):
+    """Oracle for ``spectrogram_quadrature``: the windowed Fourier integral
+    (before its squared modulus is taken) at one (shift, frequency)."""
+    lo = max(-1.0, shift - window.half_width)
+    hi = min(1.0, shift + window.half_width)
+    return adaptive_integral(
+        lambda t: signal.evaluate(t) * window.evaluate(t - shift)
+        * np.exp(-2j * np.pi * freq * t), lo, hi, tolerance)[0]

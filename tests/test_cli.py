@@ -155,6 +155,19 @@ class TestExperiment:
         assert code == cli.EXIT_CONFIG
         assert list(out.iterdir()) == []
 
+    def test_grid_too_small_for_delta_is_rejected_before_measuring(
+            self, tmp_path, monkeypatch, capsys):
+        from liftphase import forward
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("measured a grid the lifted system rejects")
+
+        monkeypatch.setattr(forward, "measure", forbidden)
+        code = run_cli(["experiment", "paper-1", "--method", "series",
+                        "--delta", "16", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "too few" in capsys.readouterr().err
+
     def test_noise_level_recorded_in_artifact(self, tmp_path):
         out = tmp_path / "noisy"
         run_cli(["experiment", "paper-1", "--method", "series",
@@ -271,3 +284,12 @@ class TestSubprocessEntry:
             capture_output=True, text=True, timeout=300)
         assert result.returncode == 0
         assert (tmp_path / "measurement.json").exists()
+
+    def test_import_loads_no_scipy(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, liftphase, liftphase.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

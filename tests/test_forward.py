@@ -6,6 +6,8 @@ import pytest
 import liftphase as lp
 from liftphase.exceptions import ConfigError, GridError
 
+from conftest import adaptive_spectrogram, skewed_specimen
+
 
 class TestPaperGrid:
     def test_dimensions(self, grid):
@@ -57,6 +59,28 @@ class TestSpectrogramQuadrature:
     def test_shift_bound(self, gaussian, window):
         with pytest.raises(GridError):
             lp.spectrogram_quadrature(gaussian, window, 0.51, 0.0)
+
+
+class TestQuadratureAgainstAdaptiveOracle:
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_at_the_shift_edges(self, shift, window, modulated):
+        freqs = np.concatenate([np.random.default_rng(23).uniform(-30.0, 30.0, 12),
+                                [-30.0, -15.0, 15.0, 30.0]])
+        for signal in (modulated, skewed_specimen()):
+            got = lp.spectrogram_quadrature(signal, window, shift, freqs)
+            oracle = np.array([adaptive_spectrogram(signal, window, shift, w)
+                               for w in freqs])
+            # both integrals are certified to 2e-11, and ||a| - |b|| <= |a - b|
+            assert np.max(np.abs(np.sqrt(got) - np.abs(oracle))) <= 4e-11
+
+    def test_array_entries_equal_scalar_calls(self, modulated, window):
+        freqs = np.random.default_rng(6).uniform(-15.0, 15.0, 12)
+        quad = lp.spectrogram_quadrature(modulated, window, 0.2, freqs)
+        series = lp.spectrogram_series(modulated, window, 0.2, freqs, 7)
+        assert quad.shape == series.shape == freqs.shape
+        for i, w in enumerate(freqs):
+            assert quad[i] == lp.spectrogram_quadrature(modulated, window, 0.2, w)
+            assert series[i] == lp.spectrogram_series(modulated, window, 0.2, w, 7)
 
 
 class TestSpectrogramSeries:

@@ -6,6 +6,7 @@ from liftphase import (BandedMatrix, NonConvergence, QuadratureSpec,
                        integrate_complex, leading_eigenvector,
                        min_norm_least_squares)
 from liftphase.exceptions import DimensionError
+from liftphase.kernels import MAX_NODES
 
 from conftest import align_phase, random_banded_hermitian
 
@@ -53,13 +54,33 @@ class TestQuadrature:
         with pytest.raises(NonConvergence):
             integrate_complex(lambda t: np.cos(40 * t) + 0.0j, spec)
 
+    def test_jump_inside_interval_raises(self):
+        # a jump inside the interval converges only algebraically, so no
+        # pair of rules up to the node cap agrees to the tolerance
+        spec = QuadratureSpec(-1.0, 1.0, tolerance=1e-10)
+        with pytest.raises(NonConvergence, match=f"up to {MAX_NODES} nodes"):
+            integrate_complex(lambda t: np.where(t < 0.3, 1.0, 0.0) + 0j, spec)
+
+    def test_columns_do_not_depend_on_each_other(self):
+        freqs = np.random.default_rng(4).uniform(-40.0, 40.0, 25)
+
+        def integrand(w):
+            return lambda t: (np.exp(-8.0 * t * t)[:, None]
+                              * np.exp(-2j * np.pi * np.multiply.outer(t, w)))
+
+        spec = QuadratureSpec(-1.0, 1.0, tolerance=1e-12)
+        together, err = integrate_complex(integrand(freqs), spec)
+        assert together.shape == (25,)
+        for i in range(freqs.size):
+            alone, alone_err = integrate_complex(integrand(freqs[i:i + 1]), spec)
+            assert alone[0] == together[i]
+            assert alone_err <= err
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(1.0, 0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(0.0, 1.0, tolerance=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(0.0, 1.0, max_subdivisions=0)
 
 
 class TestMinNormLeastSquares:

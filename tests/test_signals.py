@@ -6,6 +6,8 @@ from scipy.integrate import simpson
 import liftphase as lp
 from liftphase.exceptions import NonConvergence
 
+from conftest import adaptive_fourier
+
 mpmath.mp.dps = 30
 
 
@@ -108,6 +110,46 @@ class TestFourierSamples:
         assert np.allclose(vals, vals[::-1].conj(), atol=1e-8)
 
 
+class TestTransformsAgainstAdaptiveOracle:
+    """Gauss-Legendre transforms against adaptive quadrature.  Both routes
+    are certified to 5e-13 absolute, so they may differ by 1e-12."""
+
+    @pytest.mark.parametrize("name", ["gaussian", "modulated"])
+    def test_signal_on_the_series_lattice(self, name, grid):
+        # every fhat(m/2) the paper grid's series reaches: |m/2| <= 15 + delta
+        signal = lp.get_signal(name)
+        reach = max(grid.frequencies) + grid.delta
+        lattice = np.arange(-2 * reach, 2 * reach + 1) / 2.0
+        got = signal.fourier(lattice)
+        oracle = [adaptive_fourier(signal, x, -1.0, 1.0) for x in lattice]
+        assert np.max(np.abs(got - oracle)) <= 1e-12
+
+    def test_window_on_the_shift_lattice(self, window, grid):
+        lattice = np.arange(-2 * grid.delta, 2 * grid.delta + 1) / 2.0
+        got = window.fourier(lattice)
+        oracle = [adaptive_fourier(window, x, -0.5, 0.5) for x in lattice]
+        assert np.max(np.abs(got - oracle)) <= 1e-12
+
+    def test_off_lattice(self, window, gaussian, modulated):
+        freqs = np.random.default_rng(17).uniform(-30.0, 30.0, 20)
+        freqs = np.concatenate([freqs, [-30.0, 30.0]])
+        for obj, (lo, hi) in ((gaussian, (-1.0, 1.0)), (modulated, (-1.0, 1.0)),
+                              (window, (-0.5, 0.5))):
+            got = obj.fourier(freqs)
+            oracle = [adaptive_fourier(obj, x, lo, hi) for x in freqs]
+            assert np.max(np.abs(got - oracle)) <= 1e-12
+
+    def test_array_entries_equal_scalar_calls(self, window, modulated):
+        freqs = np.random.default_rng(8).uniform(-30.0, 30.0, 30)
+        for obj in (window, modulated):
+            together = obj.fourier(freqs)
+            assert together.shape == freqs.shape
+            for i, x in enumerate(freqs):
+                alone = obj.fourier(x)
+                assert isinstance(alone, complex)
+                assert together[i] == alone
+
+
 class TestParseval:
     @pytest.mark.parametrize("name", ["gaussian", "modulated"])
     def test_energy_matches_between_domains(self, name):
@@ -124,7 +166,6 @@ class TestParseval:
 class TestRegistryAndRotation:
     def test_registry(self):
         assert lp.signal_names() == ["gaussian", "modulated", "zero"]
-        assert lp.get_signal("gaussian") is lp.get_signal("gaussian")
         with pytest.raises(KeyError):
             lp.get_signal("nope")
         with pytest.raises(KeyError):
