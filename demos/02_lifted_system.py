@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Inspect the lifted linear system: banded Toeplitz blocks, the dense
-measurement matrix over in-band coordinates, its rank, and the cost of the
-structured forward application.
+"""Inspect the lifted linear system: banded Toeplitz blocks, the real
+measurement matrix over the real coordinates of the band, its rank, and the
+cost of the structured forward application.
 
 The quadratic measurements are linear in the outer product of the unknown
 Fourier samples; each measurement row reads a small window of that matrix,

@@ -208,28 +208,31 @@ def _truncation_indices(freq: float, delta: int) -> range:
     return range(lo, hi + 1)
 
 
-def spectrogram_series(signal: Signal, window: Window, shift: float,
-                       freq, delta: int):
+def spectrogram_series(signal: Signal, window: Window, shift, freq,
+                       delta: int):
     """Truncated half-integer series for the same measurement.
 
     Approximates ``|integral f(t) g(t - l) e^{-2 pi i freq t} dt|^2``, the
     quantity :func:`spectrogram_quadrature` integrates.  Expanding f in its
     Fourier series on [-1, 1] turns the integral into
     ``1/2 sum_m e^{i pi l m} fhat(m/2) ghat(freq - m/2)`` up to a unimodular
-    factor; ``ghat(m/2 - freq)`` is used in its place, which is the same
-    value for the catalog's real, even windows.  The sum runs over the
-    integers m with ``|m - 2 freq| <= 2 delta``, and one quarter of its
-    squared modulus is returned.
+    factor.  The sum runs over the integers m with ``|m - 2 freq| <= 2
+    delta``, and one quarter of its squared modulus is returned.
 
     The truncation error is small relative to the spectrogram's scale (its
     peak over shifts and frequencies), not point by point: deep in the
     spectral tail, where the measurement itself is tiny, the dropped terms
     can be comparable to it.
 
-    ``freq`` may be an array, as in :func:`spectrogram_quadrature`; each
-    distinct transform argument is evaluated once per call.
+    ``shift`` and ``freq`` may be arrays; the result then has shape
+    ``shift.shape + freq.shape``.  The shift enters only through the phase,
+    so the signal and the window are transformed once per call, at each
+    distinct argument, whatever the number of shifts; a row is bitwise the
+    same as the call for its shift alone.
     """
-    check_shift(window, shift)
+    shifts = np.asarray(shift, dtype=float)
+    for l in shifts.ravel():
+        check_shift(window, l)
     if delta < 1:
         raise GridError("delta must be >= 1")
     freqs = np.asarray(freq, dtype=float)
@@ -240,13 +243,15 @@ def spectrogram_series(signal: Signal, window: Window, shift: float,
     m = np.array([s.start for s in spans])[:, None] + np.arange(4 * delta + 1)
     inside = m < np.array([s.stop for s in spans])[:, None]
     lattice, lattice_at = np.unique(m / 2.0, return_inverse=True)
-    offsets, offsets_at = np.unique(m / 2.0 - flat[:, None], return_inverse=True)
-    terms = (np.exp(1j * np.pi * shift * m)
-             * signal.fourier(lattice)[lattice_at.reshape(m.shape)]
-             * window.fourier(offsets)[offsets_at.reshape(m.shape)])
-    total = np.where(inside, terms, 0.0).sum(axis=1)
-    power = (0.25 * np.abs(total) ** 2).reshape(freqs.shape)
-    return float(power) if freqs.ndim == 0 else power
+    offsets, offsets_at = np.unique(flat[:, None] - m / 2.0, return_inverse=True)
+    coeffs = np.where(inside,
+                      signal.fourier(lattice)[lattice_at.reshape(m.shape)]
+                      * window.fourier(offsets)[offsets_at.reshape(m.shape)],
+                      0.0)
+    power = np.array([
+        0.25 * np.abs((np.exp(1j * np.pi * l * m) * coeffs).sum(axis=1)) ** 2
+        for l in shifts.ravel()]).reshape(shifts.shape + freqs.shape)
+    return float(power) if power.ndim == 0 else power
 
 
 def measure(signal: Signal, window: Window, grid: MeasurementGrid,
@@ -255,25 +260,25 @@ def measure(signal: Signal, window: Window, grid: MeasurementGrid,
     """Full measurement vector on the grid, by either route.
 
     Entry ``(k, j)`` (shift-major flat index ``k * N + j``) is the
-    measurement at ``(shifts[k], frequencies[j])``.  Optional noise
+    measurement at ``(shifts[k], frequencies[j])``.  The series route is
+    one :func:`spectrogram_series` call over all shifts, the quadrature
+    route one :func:`spectrogram_quadrature` call per shift.  Optional noise
     multiplies each entry by ``1 + eps`` with eps i.i.d. uniform in
     ``[-level, level]`` under the given seed, then clamps at zero.
     """
     if method not in ("quadrature", "series"):
         raise ConfigError(f"unknown measurement method {method!r}")
     freqs = np.asarray(grid.frequencies)
-    rows = []
-    for k, shift in enumerate(grid.shifts):
-        try:
-            if method == "quadrature":
-                rows.append(spectrogram_quadrature(signal, window, shift, freqs))
-            else:
-                rows.append(spectrogram_series(signal, window, shift, freqs,
-                                               grid.delta))
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"measurement at shift index {k} (l={shift}): {exc}") from exc
-    values = np.concatenate(rows)
+    try:
+        if method == "series":
+            values = spectrogram_series(signal, window, np.asarray(grid.shifts),
+                                        freqs, grid.delta).ravel()
+        else:
+            values = np.concatenate([
+                spectrogram_quadrature(signal, window, shift, freqs)
+                for shift in grid.shifts])
+    except NonConvergence as exc:
+        raise NonConvergence(f"{method} measurement: {exc}") from exc
     if noise is not None and noise.level > 0:
         rng = np.random.default_rng(noise.seed)
         eps = rng.uniform(-noise.level, noise.level, size=values.size)

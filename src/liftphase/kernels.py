@@ -133,7 +133,7 @@ def min_norm_least_squares(
     (x, residual_norm, numerical_rank)
     """
     a = np.asarray(a)
-    b = np.asarray(b, dtype=complex).ravel()
+    b = np.asarray(b).ravel()
     if a.ndim != 2 or a.shape[0] != b.shape[0]:
         raise DimensionError(f"shape mismatch: a is {a.shape}, b has {b.shape[0]} rows")
     if rank_tol <= 0:
@@ -238,7 +238,6 @@ def leading_eigenvector(
     h: BandedMatrix,
     iter_tol: float = 1e-10,
     max_iters: int = 20000,
-    deflate: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Dominant eigenpair of a Hermitian banded matrix by shifted power
     iteration.
@@ -253,9 +252,6 @@ def leading_eigenvector(
     ----------
     h
         A :class:`BandedMatrix` built with ``hermitian=True``.
-    deflate
-        Optional unit vector; the iteration is confined to its orthogonal
-        complement (used to estimate the second eigenvalue).
 
     Returns
     -------
@@ -277,17 +273,7 @@ def leading_eigenvector(
     rng = np.random.default_rng(0)
     v = np.ones(n, dtype=complex)
     v += 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-    def project(w):
-        if deflate is not None:
-            w = w - deflate * np.vdot(deflate, w)
-        return w
-
-    v = project(v)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValueError("degenerate start vector")
-    v /= nv
+    v /= np.linalg.norm(v)
 
     lam = 0.0
     for _ in range(max_iters):
@@ -295,7 +281,7 @@ def leading_eigenvector(
         lam = float(np.real(np.vdot(v, hv)))
         if np.linalg.norm(hv - lam * v) <= iter_tol:
             return v, lam
-        w = project(hv + shift * v)
+        w = hv + shift * v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             raise NonConvergence("power iteration collapsed to the zero vector")

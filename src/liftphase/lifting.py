@@ -7,9 +7,14 @@ lattice; stacking the blocks gives the map whose row for (shift l, frequency
 w) reads a window of the outer-product matrix.  Because each Toeplitz row
 reaches 2*delta indices either side of its center, the quadratic form
 touches products up to 4*delta apart, so the banded unknown carries band
-half-width 4*delta; the measurement matrix acting on those in-band
-coordinates is materialized densely for the least-squares solve
-while the per-shift structured form is kept for fast forward application.
+half-width 4*delta.
+
+On Hermitian matrices that map is real-linear and its values are real, so
+the unknown gets real isometric coordinates: the diagonal, then sqrt(2)
+times the real and the imaginary parts of the strict upper band.  The
+measurement matrix over those coordinates is materialized as a real array
+for the least-squares solve, while the per-shift structured form is kept
+for fast forward application.
 """
 
 from __future__ import annotations
@@ -31,22 +36,42 @@ __all__ = [
     "band_coordinate_count",
 ]
 
+_SQRT2 = np.sqrt(2.0)
+
+
+def _coordinates(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Real coordinates from the real diagonal and the complex strict upper
+    band (last axis), in the layout of :meth:`LiftedSystem.pack`."""
+    return np.concatenate([diagonal, _SQRT2 * upper.real, _SQRT2 * upper.imag],
+                          axis=-1)
+
+
+def shift_vectors(window: Window, shifts, delta: int) -> list[np.ndarray]:
+    """Lattice samples of the window transform, phase-twisted by each shift.
+
+    Entry ``t + 2*delta`` of each read-only result holds
+    ``exp(i pi l t) * ghat(-t/2)`` for the twice-index ``t`` in
+    ``[-2*delta, 2*delta]`` (half-integer lattice points ``t/2``).  Both the
+    phase and the argument match the series of
+    :func:`~liftphase.forward.spectrogram_series`, whose term for lattice
+    point ``m/2 = w + t/2`` carries ``ghat(w - m/2)``, so row (l, w) of the
+    lifted operator models the window centered at ``+l``.  The window is
+    transformed once, whatever the number of shifts.
+    """
+    t = np.arange(-2 * delta, 2 * delta + 1)
+    ghat = window.fourier(-t / 2.0)
+    out = []
+    for l in shifts:
+        check_shift(window, l)
+        values = np.exp(1j * np.pi * l * t) * ghat
+        values.setflags(write=False)
+        out.append(values)
+    return out
+
 
 def shift_vector(window: Window, shift: float, delta: int) -> np.ndarray:
-    """Lattice samples of the window transform, phase-twisted by the shift.
-
-    Entry ``t + 2*delta`` of the read-only result holds
-    ``exp(i pi l t) * ghat(t/2)`` for the twice-index ``t`` in
-    ``[-2*delta, 2*delta]`` (half-integer lattice points ``t/2``).  The
-    phase sign matches the series of
-    :func:`~liftphase.forward.spectrogram_series`, so row (l, w) of the
-    lifted operator models the window centered at ``+l``.
-    """
-    check_shift(window, shift)
-    t = np.arange(-2 * delta, 2 * delta + 1)
-    values = np.exp(1j * np.pi * shift * t) * window.fourier(t / 2.0)
-    values.setflags(write=False)
-    return values
+    """The shift vector of one shift; see :func:`shift_vectors`."""
+    return shift_vectors(window, [shift], delta)[0]
 
 
 def toeplitz_block(values: np.ndarray, n_frequencies: int) -> np.ndarray:
@@ -93,8 +118,14 @@ class LiftedSystem:
     """Structured lifted operator plus its dense materialization.
 
     The structured state is the K x (4*delta + 1) array of shift-vector
-    values (O(K * delta) complex numbers); the dense measurement matrix over
-    in-band coordinates is built lazily on first access and its thin SVD is
+    values (O(K * delta) complex numbers).  The unknown is the banded
+    Hermitian matrix F in real coordinates ``x = [diag F; sqrt(2) Re
+    F[upper]; sqrt(2) Im F[upper]]``, where ``upper`` holds the entries
+    ``0 < j - i <= 4*delta`` in row-major order.  The coordinates are an
+    isometry (``x . y`` is the Frobenius inner product of the two matrices)
+    and differ from the complex entry coordinates by a unitary change of
+    basis, so the real measurement matrix has the singular values of the
+    complex one.  It is built lazily on first access, and its thin SVD is
     cached for repeated solves.
     """
 
@@ -104,10 +135,9 @@ class LiftedSystem:
         self.window = window
         self.grid = grid
         self.band = 4 * grid.delta
-        self.shift_vectors = [shift_vector(window, l, grid.delta)
-                              for l in grid.shifts]
+        self.shift_vectors = shift_vectors(window, grid.shifts, grid.delta)
         offsets = np.subtract.outer(np.arange(n), np.arange(n))
-        self.row_index, self.col_index = np.nonzero(np.abs(offsets) <= self.band)
+        self.upper = np.nonzero((offsets < 0) & (offsets >= -self.band))
         self._matrix: np.ndarray | None = None
         self._factorization = None
 
@@ -117,53 +147,56 @@ class LiftedSystem:
 
     @property
     def n_unknowns(self) -> int:
-        return self.row_index.size
+        return self.grid.n_frequencies + 2 * self.upper[0].size
 
     def pack(self, f: BandedMatrix) -> np.ndarray:
-        """In-band entries of ``f`` in row-major band order."""
+        """Real coordinates of a banded Hermitian matrix."""
         if f.size != self.grid.n_frequencies or f.half_width != self.band:
             raise DimensionError("banded matrix does not match the system band")
-        return f.to_dense()[self.row_index, self.col_index]
+        return self.pack_dense(f.to_dense())
+
+    def pack_dense(self, dense: np.ndarray) -> np.ndarray:
+        """Real coordinates of the band of a dense Hermitian matrix; only its
+        diagonal and upper band are read."""
+        return _coordinates(dense.diagonal().real, dense[self.upper])
 
     def unpack(self, x: np.ndarray) -> BandedMatrix:
-        """Hermitian inverse of :meth:`pack`: the two mirror coordinates are
-        averaged into structurally Hermitian storage."""
-        x = np.asarray(x, dtype=complex)
+        """Inverse of :meth:`pack`: the Hermitian banded matrix whose real
+        coordinates are ``x``."""
+        x = np.asarray(x, dtype=float)
         if x.shape != (self.n_unknowns,):
             raise DimensionError("coordinate vector length mismatch")
         n = self.grid.n_frequencies
-        raw = np.zeros((n, n), dtype=complex)
-        raw[self.row_index, self.col_index] = x
-        return BandedMatrix.from_dense(0.5 * (raw + raw.conj().T), self.band,
-                                       hermitian=True)
+        p = self.upper[0].size
+        dense = np.diag(x[:n]).astype(complex)
+        dense[self.upper] = (x[n:n + p] + 1j * x[n + p:]) / _SQRT2
+        return BandedMatrix.from_dense(dense, self.band, hermitian=True)
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense measurement matrix (n_measurements x n_unknowns).
+        """Real measurement matrix (n_measurements x n_unknowns).
 
-        Column for coordinate (i, j) is the stacked value pattern obtained by
-        pushing the basis element E_ij through the quadratic form, including
-        the overall 1/4 scale.
+        Measurement (k, r) is ``|v . fhat|^2 / 4 = sum_ij v_i conj(v_j)
+        F_ij / 4`` for the shift vector v of shift k positioned at frequency
+        r: the Frobenius inner product of the Hermitian matrix
+        ``conj(v) vᵀ / 4`` with F.  Its row is therefore
+        ``pack(conj(v) vᵀ / 4)``.
         """
         if self._matrix is None:
             n = self.grid.n_frequencies
-            delta = self.grid.delta
-            m = np.zeros((self.n_measurements, self.n_unknowns), dtype=complex)
+            m = np.empty((self.n_measurements, self.n_unknowns))
             for k, vals in enumerate(self.shift_vectors):
-                for r in range(n):
-                    ti = self.row_index - r
-                    tj = self.col_index - r
-                    sel = (np.abs(ti) <= 2 * delta) & (np.abs(tj) <= 2 * delta)
-                    m[k * n + r, sel] = 0.25 * (
-                        vals[ti[sel] + 2 * delta]
-                        * np.conj(vals[tj[sel] + 2 * delta])
-                    )
+                # row r of the block is the shift vector positioned at r
+                g = toeplitz_block(vals, n)
+                m[k * n:(k + 1) * n] = _coordinates(
+                    0.25 * np.abs(g) ** 2,
+                    0.25 * np.conj(g[:, self.upper[0]]) * g[:, self.upper[1]])
             self._matrix = m
         return self._matrix
 
     @property
     def factorization(self):
-        """Cached thin SVD of the dense matrix."""
+        """Cached thin SVD of the real matrix."""
         if self._factorization is None:
             self._factorization = np.linalg.svd(self.matrix, full_matrices=False)
         return self._factorization

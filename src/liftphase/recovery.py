@@ -1,13 +1,16 @@
 """Inversion of the lifted system and eigenvector angular synchronization.
 
-``solve_band`` returns the minimum-norm least-squares solution projected to
-Hermitian banded form.  The measurement operator is rank-deficient, so that
-solution is only one representative of the solution set; ``recover``
-optionally refines it by alternating projections between the solution set
-and the rank-one positive-semidefinite matrices, which picks the physically
-meaningful representative and markedly improves the recovered magnitudes.
+``solve_band`` returns the minimum-norm least-squares solution in the
+lifted system's real coordinates, which describe Hermitian banded matrices
+only, so the solution is Hermitian by construction.  The measurement
+operator is rank-deficient, so that solution is only one representative of
+the solution set; ``recover`` optionally refines it by alternating
+projections between the solution set and the rank-one positive-semidefinite
+matrices, which picks the physically meaningful representative and markedly
+improves the recovered magnitudes.
 ``angular_synchronize`` then reads magnitudes off the diagonal and phases
-off the leading eigenvector of the phase-normalized band matrix.
+off the leading eigenvector of the phase-normalized band matrix, and
+takes the eigen-gap from that matrix's dense spectrum.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ __all__ = [
 #: into synchronization.
 MAGNITUDE_FLOOR = 1e-6
 #: Residual tolerance and iteration budget of the synchronization power
-#: iterations.
+#: iteration.
 POWER_TOL = 1e-10
 MAX_POWER_ITERS = 50000
 
@@ -141,13 +144,14 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
                ) -> tuple[BandedMatrix, RecoveryDiagnostics]:
     """Minimum-norm least-squares solve for the banded unknown.
 
-    The raw solution is Hermitian-projected (mirror coordinates averaged),
-    which preserves the least-squares fit exactly because the measurement
-    map commutes with conjugate transposition on real data.  The operator's
-    null space can push diagonal entries slightly negative; that mass is
-    reported (warning flag above 1% of the trace) but kept in the solution
-    so the forward image still reproduces the data, and it is floored at
-    zero later when magnitudes are extracted.
+    The solve runs in the system's real coordinates, on the real matrix and
+    its real thin SVD; :meth:`LiftedSystem.unpack` turns the solution into
+    a Hermitian banded matrix with no projection step, because every real
+    coordinate vector describes one.  The operator's null space can push
+    diagonal entries slightly negative; that mass is reported (warning flag
+    above 1% of the trace) but kept in the solution so the forward image
+    still reproduces the data, and it is floored at zero later when
+    magnitudes are extracted.
     """
     cfg = cfg or RecoveryConfig()
     if data.values.shape != (system.n_measurements,):
@@ -170,7 +174,7 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
 
 def _rank_one_part(system: LiftedSystem, x: np.ndarray) -> np.ndarray:
     """Dense dominant rank-one positive-semidefinite part of the Hermitian
-    matrix whose in-band coordinates are ``x``."""
+    matrix whose real coordinates are ``x``."""
     evals, evecs = np.linalg.eigh(system.unpack(x).to_dense())
     vec = evecs[:, -1]
     return max(float(evals[-1]), 0.0) * np.outer(vec, np.conj(vec))
@@ -184,19 +188,21 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: BandedMatrix,
     Each sweep replaces the iterate by its dominant rank-one part and then
     moves back onto the solution set by subtracting the minimum-norm
     correction of the measurement mismatch.  The final iterate is the banded
-    rank-one part, whose diagonal and phases feed synchronization.
+    rank-one part, whose diagonal and phases feed synchronization.  All of
+    it but the N x N eigensolves is real arithmetic in the system's real
+    coordinates.
     """
-    u, s, vh = system.factorization
+    u, s, vt = system.factorization
     keep = s > cfg.rank_tol * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, bool)
-    uk_h = u[:, keep].conj().T
+    uk_t = u[:, keep].T
     sk = s[keep]
-    vk_h = vh[keep].conj().T
+    vk = vt[keep].T
     a = system.matrix
 
     x = system.pack(f)
     for _ in range(cfg.refine_iterations):
-        y = _rank_one_part(system, x)[system.row_index, system.col_index]
-        x = y - vk_h @ ((uk_h @ (a @ y - b)) / sk)
+        y = system.pack_dense(_rank_one_part(system, x))
+        x = y - vk @ ((uk_t @ (a @ y - b)) / sk)
     refined = BandedMatrix.from_dense(_rank_one_part(system, x), system.band,
                                       hermitian=True)
     resid = float(np.linalg.norm(a @ system.pack(refined) - b))
@@ -212,7 +218,10 @@ def angular_synchronize(f: BandedMatrix, frequencies=None) -> RecoveredSpectrum:
     band matrix: in-band entries at least ``MAGNITUDE_FLOOR`` times the
     largest in-band magnitude are replaced by their unit-modulus phases,
     everything else by zero, and the diagonal by ones.  The output is
-    defined up to one global unimodular factor.  The residual and rank
+    defined up to one global unimodular factor.  The eigen-gap is the ratio
+    of the two largest eigenvalues of the dense phase-normalized matrix
+    (``numpy.linalg.eigvalsh``); the power iteration supplies only the
+    vector, which converges at the rate of that gap.  The residual and rank
     fields of the returned diagnostics belong to the solve stage and stay
     zero when this is called standalone; ``recover`` fills them in.
 
@@ -241,11 +250,10 @@ def angular_synchronize(f: BandedMatrix, frequencies=None) -> RecoveredSpectrum:
     np.fill_diagonal(phases, 1.0)
     normalized = BandedMatrix.from_dense(phases, f.half_width, hermitian=True)
 
-    vec, lam1 = leading_eigenvector(normalized, iter_tol=POWER_TOL,
-                                    max_iters=MAX_POWER_ITERS)
-    _, lam2 = leading_eigenvector(normalized, iter_tol=POWER_TOL,
-                                  max_iters=MAX_POWER_ITERS, deflate=vec)
-    gap = float("inf") if lam2 <= 0 else lam1 / lam2
+    vec, _ = leading_eigenvector(normalized, iter_tol=POWER_TOL,
+                                 max_iters=MAX_POWER_ITERS)
+    lam2, lam1 = np.linalg.eigvalsh(normalized.to_dense())[-2:]
+    gap = float("inf") if lam2 <= 0 else float(lam1 / lam2)
     if gap < 1.0 + 1e-6:
         raise DegenerateSpectrum(
             f"eigen-gap ratio {gap:.9f} leaves synchronization undetermined")
@@ -264,7 +272,12 @@ def recover(data: SpectrogramData, window: Window,
 
     The grid must be the half-integer lattice, which is checked before any
     system is assembled.  Zero measurements short-circuit to the zero
-    spectrum (there is no phase information to synchronize).
+    spectrum (there is no phase information to synchronize).  The
+    measurements are scaled by the power of two ``2**(-2k)`` that brings
+    their maximum into [0.5, 2) before the solve, and the spectrum by
+    ``2**k`` after it.  Recovery is scale-equivariant and powers of two
+    scale exactly, so the solve sees the same numbers at every scale and
+    no norm in it overflows.
     """
     cfg = cfg or RecoveryConfig()
     grid = grid or data.grid
@@ -280,12 +293,16 @@ def recover(data: SpectrogramData, window: Window,
         return RecoveredSpectrum(freqs, np.zeros(freqs.size, dtype=complex),
                                  diagnostics)
 
+    k = int(np.frexp(data.values.max())[1]) // 2
+    data = SpectrogramData(np.ldexp(data.values, -2 * k), grid,
+                           provenance=data.provenance, noise=data.noise)
     system = cached_system(window, grid)
     f, diagnostics = solve_band(system, data, cfg)
     if cfg.refine_iterations > 0:
         f, refine_residual = _refine_rank_one(system, data.values, f, cfg)
         diagnostics.refine_residual = refine_residual
     spectrum = angular_synchronize(f, frequencies=freqs)
+    spectrum.f_hat = spectrum.f_hat * 2.0 ** k
     diagnostics.eigen_gap = spectrum.diagnostics.eigen_gap
     spectrum.diagnostics = diagnostics
     return spectrum

@@ -80,6 +80,44 @@ def skewed_specimen():
     )
 
 
+def tilted_window():
+    """Real, non-even test window (not in the catalog): the catalog
+    Gaussian times 1 + 0.8 t on [-1/2, 1/2]."""
+    return lp.Window("tilted", lambda t: 2 ** 0.25 * np.exp(-16.0 * np.pi * t * t)
+                     * (1.0 + 0.8 * t), 0.5)
+
+
+def chirped_window():
+    """Complex test window (not in the catalog): the catalog Gaussian times
+    e^{3 i t} on [-1/2, 1/2].  With :func:`tilted_window` it makes a wrong
+    sign of a window transform's argument show, which the catalog's real,
+    even window cannot."""
+    return lp.Window("chirped", lambda t: 2 ** 0.25 * np.exp(-16.0 * np.pi * t * t)
+                     * np.exp(3j * t), 0.5)
+
+
+def dense_column_oracle(window, grid, band):
+    """The lifted map over complex entry coordinates, by pushing basis
+    elements through the dense stacked-Toeplitz quadratic form.
+
+    Returns ``(m, rows, cols)``: column q of ``m`` holds the measurements
+    of the matrix whose only nonzero entry is a 1 at ``(rows[q], cols[q])``,
+    for every in-band entry in row-major order, so ``m @ F[rows, cols]`` is
+    the measurement vector of F."""
+    n = grid.n_frequencies
+    blocks = [lp.toeplitz_block(lp.shift_vector(window, l, grid.delta), n)
+              for l in grid.shifts]
+    g = np.vstack(blocks)
+    rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+                            <= band)
+    m = np.zeros((g.shape[0], rows.size), dtype=complex)
+    for q, (i, j) in enumerate(zip(rows, cols)):
+        basis = np.zeros((n, n), dtype=complex)
+        basis[i, j] = 1.0
+        m[:, q] = 0.25 * np.diagonal(g @ basis @ g.conj().T)
+    return m, rows, cols
+
+
 def random_banded_hermitian(n, half_width, rng):
     """Random structurally Hermitian banded matrix."""
     dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

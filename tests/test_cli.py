@@ -66,6 +66,22 @@ class TestRecoverCommand:
         csv_text = (out / "reconstruction.csv").read_text()
         assert csv_text.startswith("x,f_true_re,f_true_im,f_rec_re,f_rec_im")
 
+    def test_huge_measurements_give_finite_residual(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        run_cli(["simulate", "--signal", "gaussian", "--method", "series",
+                 "--out", str(out)])
+        doc = json.loads((out / "measurement.json").read_text())
+        doc["b"] = [v * 1e300 for v in doc["b"]]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        rec = tmp_path / "rec"
+        capsys.readouterr()
+        assert run_cli(["recover", str(huge), "--out", str(rec)]) == 0
+        assert "residual=nan" not in capsys.readouterr().out
+        residual = json.loads((rec / "spectrum.json").read_text())[
+            "diagnostics"]["residual"]
+        assert residual is not None and np.isfinite(residual)
+
     def test_tampered_measurement_rejected(self, tmp_path):
         out = tmp_path / "exp"
         run_cli(["simulate", "--signal", "zero", "--method", "series",
@@ -284,6 +300,36 @@ class TestSubprocessEntry:
             capture_output=True, text=True, timeout=300)
         assert result.returncode == 0
         assert (tmp_path / "measurement.json").exists()
+
+    @pytest.mark.parametrize("preset", ["paper-1", "paper-2"])
+    def test_blas_thread_count_moves_only_solve_digits(self, preset, tmp_path):
+        # byte-identity holds per BLAS configuration: measurement does not
+        # depend on the thread count, while the solve's reduction order does,
+        # and s_min/s_1 ~ 1e-8 amplifies it to ~5e-10 of the spectrum.  That
+        # is 4.5e-4 of paper-1's aligned error of 7.7e-8, so the errors are
+        # compared to 1e-4 relative plus 1e-9 absolute.
+        import os
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            result = subprocess.run(
+                [sys.executable, "-m", "liftphase.cli", "experiment", preset,
+                 "--method", "series", "--out", str(out)],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert result.returncode == 0, result.stderr
+            runs.append(out)
+        assert (runs[0] / "measurement.json").read_bytes() \
+            == (runs[1] / "measurement.json").read_bytes()
+        spectra = [np.array([complex(re, im) for re, im in json.loads(
+            (out / "spectrum.json").read_text())["f_hat"]]) for out in runs]
+        aligned = spectra[0] * np.exp(1j * np.angle(np.vdot(spectra[0],
+                                                            spectra[1])))
+        assert np.linalg.norm(aligned - spectra[1]) \
+            <= 1e-8 * np.linalg.norm(spectra[1])
+        errors = [json.loads((out / "metrics.json").read_text())[
+            "aligned_relative_error"] for out in runs]
+        assert errors[1] == pytest.approx(errors[0], rel=1e-4, abs=1e-9)
 
     def test_import_loads_no_scipy(self):
         result = subprocess.run(

@@ -6,7 +6,8 @@ import pytest
 import liftphase as lp
 from liftphase.exceptions import ConfigError, GridError
 
-from conftest import adaptive_spectrogram, skewed_specimen
+from conftest import (adaptive_spectrogram, chirped_window, skewed_specimen,
+                      tilted_window)
 
 
 class TestPaperGrid:
@@ -98,6 +99,19 @@ class TestSpectrogramSeries:
         s = lp.spectrogram_series(gaussian, window, 0.1, 2.5, 7)
         assert abs(q - s) / q < 1e-5
 
+    @pytest.mark.parametrize("make_window", [tilted_window, chirped_window],
+                             ids=["tilted", "chirped"])
+    def test_non_even_windows_match_quadrature(self, make_window, modulated):
+        # the series reads ghat(w - m/2); with ghat(m/2 - w) these windows'
+        # series are off by a few percent of the scale or more
+        window = make_window()
+        freqs = np.linspace(-15.0, 15.0, 41) + 0.13
+        quad = np.array([lp.spectrogram_quadrature(modulated, window, l, freqs)
+                         for l in (-0.3, 0.05, 0.41)])
+        series = lp.spectrogram_series(modulated, window,
+                                       np.array([-0.3, 0.05, 0.41]), freqs, 30)
+        assert np.max(np.abs(quad - series)) <= 1e-12 * np.max(quad)
+
     def test_truncation_window_size(self):
         # 4*delta + 1 integers at lattice frequencies, 4*delta otherwise
         from liftphase.forward import _truncation_indices
@@ -118,6 +132,30 @@ class TestMeasure:
             direct = lp.spectrogram_series(modulated, window, grid.shifts[k],
                                            grid.frequencies[j], grid.delta)
             assert data.value_at(k, j) == direct
+
+    def test_series_values_equal_per_shift_rows(self, modulated, window, grid):
+        data = lp.measure(modulated, window, grid, method="series")
+        rows = [lp.spectrogram_series(modulated, window, l,
+                                      np.asarray(grid.frequencies), grid.delta)
+                for l in grid.shifts]
+        assert np.array_equal(data.values, np.concatenate(rows))
+
+    @pytest.mark.parametrize("n_shifts", [3, 11])
+    def test_series_route_transforms_once_per_configuration(
+            self, n_shifts, gaussian, window, monkeypatch):
+        # the series measurement and the lifted system need the signal
+        # transform once and the window transform twice (two argument sets),
+        # whatever the number of shifts
+        calls = []
+        for cls in (lp.Signal, lp.Window):
+            original = cls.fourier
+            monkeypatch.setattr(cls, "fourier",
+                                lambda self, freq, _f=original, _c=cls.__name__:
+                                calls.append(_c) or _f(self, freq))
+        grid = lp.half_integer_grid(21, n_shifts, 0.5 / n_shifts, 3)
+        lp.measure(gaussian, window, grid, method="series")
+        lp.assemble_system(window, grid)
+        assert sorted(calls) == ["Signal", "Window", "Window"]
 
     def test_methods_agree_on_grid(self, b_quad, b_series):
         for name in ("gaussian", "modulated"):

@@ -4,13 +4,17 @@ import pytest
 import liftphase as lp
 from liftphase.exceptions import DimensionError, GridError
 
-from conftest import random_banded_hermitian, rank_one_banded, skewed_specimen
+from conftest import (chirped_window, dense_column_oracle,
+                      random_banded_hermitian, rank_one_banded, skewed_specimen,
+                      tilted_window)
 
 
 class TestShiftVector:
     def test_zero_shift_is_plain_transform(self, window):
+        # twice-index t reads the window transform at -t/2 (the series
+        # term for lattice point w + t/2 carries ghat(w - m/2))
         sv = lp.shift_vector(window, 0.0, 3)
-        expected = np.array([window.fourier(t / 2.0) for t in range(-6, 7)])
+        expected = np.array([window.fourier(-t / 2.0) for t in range(-6, 7)])
         assert np.array_equal(sv, expected)
         assert not sv.flags.writeable
 
@@ -22,8 +26,8 @@ class TestShiftVector:
     def test_entry_formula(self, window):
         shift = 0.5 / 11.0
         sv = lp.shift_vector(window, shift, 7)
-        # half-integer lattice point 1/2 has twice-index 1, stored at 1 + 2*delta
-        expected = np.exp(1j * np.pi * shift) * window.fourier(0.5)
+        # twice-index 1 is stored at 1 + 2*delta and reads ghat(-1/2)
+        expected = np.exp(1j * np.pi * shift) * window.fourier(-0.5)
         assert sv[1 + 14] == pytest.approx(expected, abs=1e-15)
         # twice-indices beyond 2*delta are not stored
         assert sv.shape == (29,)
@@ -73,39 +77,49 @@ class TestBandCoordinates:
         assert lp.band_coordinate_count(61, 28) == 61 * 57 - 28 * 29 == 2665
 
 
-def dense_column_oracle(window, grid, band):
-    """Columns of the measurement matrix by pushing basis elements through
-    the dense stacked-Toeplitz quadratic form."""
-    n = grid.n_frequencies
-    blocks = [lp.toeplitz_block(lp.shift_vector(window, l, grid.delta), n)
-              for l in grid.shifts]
-    g = np.vstack(blocks)
-    coords = [(i, j) for i in range(n)
-              for j in range(max(0, i - band), min(n, i + band + 1))]
-    m = np.zeros((g.shape[0], len(coords)), dtype=complex)
-    for q, (i, j) in enumerate(coords):
-        basis = np.zeros((n, n), dtype=complex)
-        basis[i, j] = 1.0
-        m[:, q] = 0.25 * np.diagonal(g @ basis @ g.conj().T)
-    return m
-
-
 class TestAssembleSystem:
-    def test_columns_match_dense_basis_oracle_tiny(self, window):
-        grid = lp.half_integer_grid(5, 1, 0.1, 1)
+    @staticmethod
+    def _check_against_oracle(window, grid, draws):
+        # the real matrix applied to the real coordinates of F gives what
+        # the complex entry-coordinate oracle gives applied to F's entries
         system = lp.assemble_system(window, grid)
-        oracle = dense_column_oracle(window, grid, system.band)
-        assert np.allclose(system.matrix, oracle, atol=1e-15)
+        oracle, rows, cols = dense_column_oracle(window, grid, system.band)
+        assert system.matrix.dtype == np.float64
+        assert system.matrix.shape == oracle.shape
+        rng = np.random.default_rng(5)
+        for _ in range(draws):
+            f = random_banded_hermitian(grid.n_frequencies, system.band, rng)
+            expected = oracle @ f.to_dense()[rows, cols]
+            got = system.matrix @ system.pack(f)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_columns_match_dense_basis_oracle_tiny(self, window):
+        # more draws than unknowns, so the draws span the coordinate space
+        grid = lp.half_integer_grid(5, 1, 0.1, 1)
+        self._check_against_oracle(window, grid, 40)
 
     def test_columns_match_dense_basis_oracle_small(self, window):
         grid = lp.half_integer_grid(9, 3, 0.07, 2)
-        system = lp.assemble_system(window, grid)
-        oracle = dense_column_oracle(window, grid, system.band)
-        assert system.matrix.shape == (27, lp.band_coordinate_count(9, 8))
-        assert np.allclose(system.matrix, oracle, atol=1e-15)
+        assert lp.band_coordinate_count(9, 8) == 81
+        self._check_against_oracle(window, grid, 120)
+
+    def test_singular_values_and_rank_match_oracle(self, small_setup, window):
+        # real and entry coordinates differ by a unitary change of basis
+        grid, system = small_setup
+        oracle, _, _ = dense_column_oracle(window, grid, system.band)
+        s_oracle = np.linalg.svd(oracle, compute_uv=False)
+        _, s, _ = system.factorization
+        assert np.max(np.abs(s - s_oracle)) <= 1e-13 * s_oracle[0]
+        b = np.ones(system.n_measurements)
+        for rank_tol in (1e-10, 1e-2):
+            _, _, rank = lp.min_norm_least_squares(
+                system.matrix, b, rank_tol=rank_tol,
+                factorization=system.factorization)
+            assert rank == int((s_oracle > rank_tol * s_oracle[0]).sum())
 
     def test_paper_dimensions(self, paper_system):
         assert paper_system.matrix.shape == (671, 2665)
+        assert paper_system.matrix.dtype == np.float64
         assert paper_system.band == 28
         assert paper_system.n_measurements == 671
 
@@ -125,19 +139,20 @@ class TestAssembleSystem:
         back = system.unpack(system.pack(f))
         assert np.allclose(back.to_dense(), f.to_dense(), atol=1e-15)
 
-    def test_unpack_hermitian_averages_mirrors(self, small_setup):
-        # oracle: scatter the coordinates into a dense matrix by hand and
-        # average it with its conjugate transpose
+    def test_pack_is_an_isometry(self, small_setup):
+        # the dot product of two coordinate vectors is the Frobenius inner
+        # product of the two Hermitian matrices
         grid, system = small_setup
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(system.n_unknowns) \
-            + 1j * rng.standard_normal(system.n_unknowns)
-        n = grid.n_frequencies
-        raw = np.zeros((n, n), dtype=complex)
-        raw[system.row_index, system.col_index] = x
-        f = system.unpack(x)
-        assert f.hermitian
-        assert np.array_equal(f.to_dense(), 0.5 * (raw + raw.conj().T))
+        for _ in range(10):
+            f = random_banded_hermitian(grid.n_frequencies, system.band, rng)
+            g = random_banded_hermitian(grid.n_frequencies, system.band, rng)
+            x, y = system.pack(f), system.pack(g)
+            frobenius = np.vdot(f.to_dense(), g.to_dense())
+            assert x.dtype == np.float64 and x.shape == (system.n_unknowns,)
+            assert np.dot(x, y) == pytest.approx(frobenius.real, rel=1e-13)
+            assert np.linalg.norm(x) == pytest.approx(
+                np.linalg.norm(f.to_dense()), rel=1e-13)
 
 
 class TestForwardLifted:
@@ -194,6 +209,21 @@ class TestForwardLifted:
                 for w in grid.frequencies])
             row = lifted[k * n:(k + 1) * n]
             assert np.linalg.norm(row - quad) / np.linalg.norm(quad) <= 1e-4
+
+    @pytest.mark.parametrize("make_window", [tilted_window, chirped_window],
+                             ids=["tilted", "chirped"])
+    def test_non_even_windows_match_quadrature(self, make_window, grid,
+                                               modulated):
+        # criterion 5's quadrature bound, for windows whose transform is not
+        # even: a shift vector reading ghat(t/2) instead of ghat(-t/2) is off
+        # by order one here
+        window = make_window()
+        system = lp.assemble_system(window, grid)
+        f = rank_one_banded(lp.fourier_samples(modulated, grid.frequencies),
+                            system.band)
+        lifted = lp.forward_lifted(system, f)
+        quad = lp.measure(modulated, window, grid, method="quadrature").values
+        assert np.linalg.norm(lifted - quad) / np.linalg.norm(quad) <= 1e-4
 
     def test_true_rank_one_on_small_grid_clips_edges(self, small_setup, window,
                                                      gaussian):
