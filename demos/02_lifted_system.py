@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Inspect the lifted linear system: banded Toeplitz blocks, the real
-measurement matrix over the real coordinates of the band, its rank, and the
-cost of the structured forward application.
+measurement matrix over the real coordinates of the band, its rank, and
+its agreement with the series measurements.
 
 The quadratic measurements are linear in the outer product of the unknown
 Fourier samples; each measurement row reads a small window of that matrix,
@@ -27,8 +27,9 @@ print(f"Toeplitz block {block.shape}, {nonzero_diags} nonzero diagonals")
 print("\n== assembled system ==")
 system = lp.assemble_system(window, grid)
 print(f"band half-width of the unknown: {system.band} (= 4*delta)")
+n, w = grid.n_frequencies, system.band
 print(f"in-band unknowns: {system.n_unknowns} "
-      f"(formula: {lp.band_coordinate_count(61, system.band)})")
+      f"(formula N*(2w+1) - w*(w+1) = {n * (2 * w + 1) - w * (w + 1)})")
 print(f"measurements: {system.n_measurements} (= N*K)")
 print(f"structured state before materialization: "
       f"{sum(s.size for s in system.shift_vectors)} complex numbers")
@@ -42,17 +43,12 @@ print(f"rank at relative tolerance 1e-10: {int((s > 1e-10 * s[0]).sum())} "
 print(f"margin of s_671 over the numerical-zero scale eps*s_1: "
       f"{s[-1] / (eps * s[0]):.2e}")
 
-print("\n== structured forward cost ==")
+print("\n== lifted operator on the true outer product ==")
 truth = lp.fourier_samples(lp.get_signal("gaussian"), grid.frequencies)
-f = lp.BandedMatrix.from_dense(np.outer(truth, truth.conj()), system.band,
-                               hermitian=True)
-counter = lp.OperationCounter()
-lifted = lp.forward_lifted(system, f, counter=counter)
-width = 4 * grid.delta + 1
-print(f"complex multiplications: {counter.multiplications} "
-      f"(bound 2*K*N*(4d+1)^2 = {2 * 11 * 61 * width**2})")
+lifted = system.matrix @ system.pack(np.outer(truth, truth.conj()))
+print(f"real matrix {system.matrix.shape}, {system.matrix.nbytes / 1e6:.1f} MB")
 
 series = lp.measure(lp.get_signal("gaussian"), window, grid,
                     method="series").values
-print(f"forward image vs series measurements, rel l2: "
+print(f"matrix @ pack(F) vs series measurements, rel l2: "
       f"{np.linalg.norm(lifted - series) / np.linalg.norm(series):.3e}")

@@ -310,30 +310,31 @@ def _parser() -> argparse.ArgumentParser:
                     "windowed-Fourier samples.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, measures):
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--signal", metavar="NAME",
                        help="catalog signal (gaussian, modulated, zero)")
         p.add_argument("--window", metavar="NAME",
                        help="catalog window (gaussian)")
-        p.add_argument("--method", choices=["quadrature", "series"])
-        p.add_argument("--delta", type=int)
-        p.add_argument("--noise-level", dest="noise_level", type=float)
-        p.add_argument("--seed", type=int)
+        if measures:
+            p.add_argument("--method", choices=["quadrature", "series"])
+            p.add_argument("--delta", type=int)
+            p.add_argument("--noise-level", dest="noise_level", type=float)
+            p.add_argument("--seed", type=int)
         p.add_argument("--out", metavar="DIR")
 
     p_sim = sub.add_parser("simulate", help="write a measurement file")
-    common(p_sim)
+    common(p_sim, measures=True)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rec = sub.add_parser("recover", help="invert a measurement file")
     p_rec.add_argument("measurement", help="measurement JSON produced by simulate")
-    common(p_rec)
+    common(p_rec, measures=False)
     p_rec.set_defaults(func=cmd_recover)
 
     p_exp = sub.add_parser("experiment", help="run a bundled end-to-end preset")
     p_exp.add_argument("name", help="preset name, e.g. paper-1 or paper-2")
-    common(p_exp)
+    common(p_exp, measures=True)
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 

@@ -1,5 +1,5 @@
-"""Numerical primitives: complex quadrature, minimum-norm least squares,
-dominant eigenpairs, and banded Hermitian storage.
+"""Numerical primitives: complex quadrature, the thin SVD and minimum-norm
+least squares on its truncation, and dominant eigenpairs.
 
 Everything here is a pure function of its inputs; the only module state is
 a cache of Gauss-Legendre rules by node count, so all operations are safe to
@@ -19,6 +19,8 @@ from .exceptions import DecompositionFailure, DimensionError, NonConvergence
 __all__ = [
     "QuadratureSpec",
     "integrate_complex",
+    "thin_svd",
+    "truncate",
     "min_norm_least_squares",
     "leading_eigenvector",
     "BandedMatrix",
@@ -104,11 +106,21 @@ def integrate_complex(integrand, spec: QuadratureSpec):
         f"{spec.tolerance:.3e} on [{spec.lower}, {spec.upper}]")
 
 
-def _svd(a: np.ndarray):
+def thin_svd(a: np.ndarray):
+    """Thin SVD ``(u, s, vh)`` of ``a``; raises DecompositionFailure if
+    LAPACK does not converge."""
     try:
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(f"SVD did not converge: {exc}") from exc
+
+
+def truncate(factorization, rank_tol: float):
+    """The thin-SVD factors ``(u, s, vh)`` kept at the relative cutoff
+    ``rank_tol`` (of the largest singular value); ``s.size`` is the rank."""
+    u, s, vh = factorization
+    keep = s > rank_tol * s.max(initial=0.0)
+    return u[:, keep], s[keep], vh[keep]
 
 
 def min_norm_least_squares(
@@ -119,8 +131,8 @@ def min_norm_least_squares(
 ) -> tuple[np.ndarray, float, int]:
     """Minimum-norm solution of ``min ||a x - b||_2`` via truncated SVD.
 
-    Singular values below ``rank_tol`` times the largest one are dropped;
-    the count of retained values is the numerical rank.
+    Singular values are truncated by :func:`truncate`; the count of
+    retained values is the numerical rank.
 
     Parameters
     ----------
@@ -138,25 +150,20 @@ def min_norm_least_squares(
         raise DimensionError(f"shape mismatch: a is {a.shape}, b has {b.shape[0]} rows")
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    u, s, vh = factorization if factorization is not None else _svd(a)
-    if s.size and s[0] > 0:
-        keep = s > rank_tol * s[0]
-    else:
-        keep = np.zeros(s.shape, dtype=bool)
-    rank = int(keep.sum())
-    coeffs = u[:, keep].conj().T @ b
-    x = vh[keep].conj().T @ (coeffs / s[keep])
+    u, s, vh = truncate(factorization if factorization is not None
+                        else thin_svd(a), rank_tol)
+    x = vh.conj().T @ ((u.conj().T @ b) / s)
     residual = float(np.linalg.norm(a @ x - b))
-    return x, residual, rank
+    return x, residual, s.size
 
 
 class BandedMatrix:
-    """Square complex matrix supported on a band, stored as one dense array.
+    """Square complex matrix supported on a band, stored as one dense array:
+    the operand of :func:`leading_eigenvector`.
 
-    Entries with ``|i - j| > half_width`` stay zero.  With ``hermitian=True``
-    every write also writes the conjugate mirror and keeps the diagonal
-    real, so Hermitian symmetry holds structurally rather than to a
-    tolerance.
+    Entries with ``|i - j| > half_width`` are zero.  A ``hermitian=True``
+    matrix is built from its upper triangle and mirrored, so Hermitian
+    symmetry holds structurally rather than to a tolerance.
     """
 
     def __init__(self, size: int, half_width: int, hermitian: bool = False):
@@ -189,37 +196,6 @@ class BandedMatrix:
         out._dense = band
         return out
 
-    def diagonal(self, offset: int) -> np.ndarray:
-        """Entries of diagonal ``offset`` (``A[i, i+offset]``); a copy."""
-        return np.diagonal(self._dense, offset).copy()
-
-    def set_diagonal(self, offset: int, values: np.ndarray) -> None:
-        if abs(offset) > self.half_width:
-            raise DimensionError(f"offset {offset} outside band {self.half_width}")
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (self.size - abs(offset),):
-            raise DimensionError("diagonal length mismatch")
-        i = np.arange(values.size)
-        rows, cols = (i, i + offset) if offset >= 0 else (i - offset, i)
-        if self.hermitian:
-            if offset == 0:
-                values = values.real
-            self._dense[cols, rows] = np.conj(values)
-        self._dense[rows, cols] = values
-
-    def to_dense(self) -> np.ndarray:
-        return self._dense.copy()
-
-    def window(self, center: int, radius: int) -> tuple[int, np.ndarray]:
-        """Dense block ``A[lo:hi, lo:hi]`` for the index window around
-        ``center``; a copy of that block only.
-
-        Returns ``(lo, block)`` with ``hi = lo + block.shape[0]``.
-        """
-        lo = max(0, center - radius)
-        hi = min(self.size, center + radius + 1)
-        return lo, self._dense[lo:hi, lo:hi].copy()
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.size,):
@@ -229,9 +205,6 @@ class BandedMatrix:
     def one_norm(self) -> float:
         """Maximum absolute column sum."""
         return float(np.abs(self._dense).sum(axis=0).max())
-
-    def max_abs(self) -> float:
-        return float(np.abs(self._dense).max())
 
 
 def leading_eigenvector(

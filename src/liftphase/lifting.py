@@ -10,11 +10,10 @@ touches products up to 4*delta apart, so the banded unknown carries band
 half-width 4*delta.
 
 On Hermitian matrices that map is real-linear and its values are real, so
-the unknown gets real isometric coordinates: the diagonal, then sqrt(2)
-times the real and the imaginary parts of the strict upper band.  The
-measurement matrix over those coordinates is materialized as a real array
-for the least-squares solve, while the per-shift structured form is kept
-for fast forward application.
+the unknown, a plain Hermitian array, gets real isometric coordinates: the
+diagonal, then sqrt(2) times the real and the imaginary parts of the
+strict upper band.  The measurement matrix over those coordinates is the
+one lifted operator, materialized as a real array.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .forward import MeasurementGrid, check_shift
-from .kernels import BandedMatrix
+from .kernels import thin_svd
 from .signals import Window
 
 __all__ = [
@@ -31,9 +30,6 @@ __all__ = [
     "toeplitz_block",
     "LiftedSystem",
     "assemble_system",
-    "forward_lifted",
-    "OperationCounter",
-    "band_coordinate_count",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -100,39 +96,24 @@ def require_band(n_frequencies: int, delta: int) -> None:
             f"the lifted system needs at least {4 * delta + 1}")
 
 
-def band_coordinate_count(size: int, half_width: int) -> int:
-    """Number of entries (i, j) with ``|i - j| <= half_width`` in a
-    size x size matrix."""
-    w = min(half_width, size - 1)
-    return size * (2 * w + 1) - w * (w + 1)
-
-
-class OperationCounter:
-    """Accumulates complex-multiplication counts of the structured forward."""
-
-    def __init__(self):
-        self.multiplications = 0
-
-
 class LiftedSystem:
-    """Structured lifted operator plus its dense materialization.
+    """The lifted operator as a real matrix over the unknown's coordinates.
 
-    The structured state is the K x (4*delta + 1) array of shift-vector
-    values (O(K * delta) complex numbers).  The unknown is the banded
-    Hermitian matrix F in real coordinates ``x = [diag F; sqrt(2) Re
-    F[upper]; sqrt(2) Im F[upper]]``, where ``upper`` holds the entries
-    ``0 < j - i <= 4*delta`` in row-major order.  The coordinates are an
-    isometry (``x . y`` is the Frobenius inner product of the two matrices)
-    and differ from the complex entry coordinates by a unitary change of
-    basis, so the real measurement matrix has the singular values of the
-    complex one.  It is built lazily on first access, and its thin SVD is
-    cached for repeated solves.
+    The state kept from assembly is the K x (4*delta + 1) array of
+    shift-vector values (O(K * delta) complex numbers).  The unknown is an
+    N x N Hermitian array F, zero outside the band, in real coordinates
+    ``x = [diag F; sqrt(2) Re F[upper]; sqrt(2) Im F[upper]]``, where
+    ``upper`` holds the entries ``0 < j - i <= 4*delta`` in row-major
+    order.  The coordinates are an isometry (``x . y`` is the Frobenius
+    inner product of the two matrices) and differ from the complex entry
+    coordinates by a unitary change of basis, so the real measurement
+    matrix has the singular values of the complex one.  It is built lazily
+    on first access, and its thin SVD is cached for repeated solves.
     """
 
     def __init__(self, window: Window, grid: MeasurementGrid):
         n = grid.n_frequencies
         require_band(n, grid.delta)
-        self.window = window
         self.grid = grid
         self.band = 4 * grid.delta
         self.shift_vectors = shift_vectors(window, grid.shifts, grid.delta)
@@ -149,28 +130,33 @@ class LiftedSystem:
     def n_unknowns(self) -> int:
         return self.grid.n_frequencies + 2 * self.upper[0].size
 
-    def pack(self, f: BandedMatrix) -> np.ndarray:
-        """Real coordinates of a banded Hermitian matrix."""
-        if f.size != self.grid.n_frequencies or f.half_width != self.band:
-            raise DimensionError("banded matrix does not match the system band")
-        return self.pack_dense(f.to_dense())
-
-    def pack_dense(self, dense: np.ndarray) -> np.ndarray:
-        """Real coordinates of the band of a dense Hermitian matrix; only its
+    def pack(self, dense: np.ndarray) -> np.ndarray:
+        """Real coordinates of the band of a Hermitian N x N array; only its
         diagonal and upper band are read."""
+        n = self.grid.n_frequencies
+        if dense.shape != (n, n):
+            raise DimensionError(f"expected a {n} x {n} matrix, got {dense.shape}")
         return _coordinates(dense.diagonal().real, dense[self.upper])
 
-    def unpack(self, x: np.ndarray) -> BandedMatrix:
-        """Inverse of :meth:`pack`: the Hermitian banded matrix whose real
-        coordinates are ``x``."""
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`pack`: the Hermitian array, zero outside the
+        band, whose real coordinates are ``x``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_unknowns,):
             raise DimensionError("coordinate vector length mismatch")
-        n = self.grid.n_frequencies
-        p = self.upper[0].size
-        dense = np.diag(x[:n]).astype(complex)
-        dense[self.upper] = (x[n:n + p] + 1j * x[n + p:]) / _SQRT2
-        return BandedMatrix.from_dense(dense, self.band, hermitian=True)
+        n, p = self.grid.n_frequencies, self.upper[0].size
+        return self._mirror(x[:n], (x[n:n + p] + 1j * x[n + p:]) / _SQRT2)
+
+    def restrict(self, dense: np.ndarray) -> np.ndarray:
+        """``unpack(pack(dense))`` without the rounding of the sqrt(2)
+        scaling: the diagonal's real part and the upper band, mirrored."""
+        return self._mirror(dense.diagonal().real, dense[self.upper])
+
+    def _mirror(self, diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        dense = np.diag(diagonal).astype(complex)
+        dense[self.upper] = upper
+        dense[self.upper[::-1]] = np.conj(upper)
+        return dense
 
     @property
     def matrix(self) -> np.ndarray:
@@ -198,48 +184,15 @@ class LiftedSystem:
     def factorization(self):
         """Cached thin SVD of the real matrix."""
         if self._factorization is None:
-            self._factorization = np.linalg.svd(self.matrix, full_matrices=False)
+            self._factorization = thin_svd(self.matrix)
         return self._factorization
-
-    def materialized(self) -> bool:
-        return self._matrix is not None
 
 
 def assemble_system(window: Window, grid: MeasurementGrid) -> LiftedSystem:
     """Build the lifted system for a window and measurement grid.
 
     The banded unknown has half-width ``4 * delta``, which covers every
-    product the quadratic form can reach, so the structured forward agrees
+    product the quadratic form can reach, so the lifted operator agrees
     with the truncated series exactly.
     """
     return LiftedSystem(window, grid)
-
-
-def forward_lifted(system: LiftedSystem, f: BandedMatrix,
-                   counter: OperationCounter | None = None) -> np.ndarray:
-    """Apply the lifted operator to a banded Hermitian matrix.
-
-    Uses the per-shift structured form: for each measurement row the value is
-    one quarter of the local window's quadratic form, so the work is
-    O(K * N * (4*delta + 1)^2) complex multiplications and no N x N dense
-    product is ever formed.  Equals ``system.matrix @ system.pack(f)``.
-    """
-    n = system.grid.n_frequencies
-    delta = system.grid.delta
-    if f.size != n:
-        raise DimensionError(f"matrix size {f.size} does not match grid {n}")
-    if f.half_width != system.band:
-        raise DimensionError("matrix band does not match the system band")
-    # window blocks depend only on the row, not the shift
-    blocks = [f.window(r, 2 * delta) for r in range(n)]
-    out = np.empty(system.n_measurements)
-    for k, vals in enumerate(system.shift_vectors):
-        for r in range(n):
-            lo, block = blocks[r]
-            x = vals[(lo - r) + 2 * delta:(lo - r) + 2 * delta + block.shape[0]]
-            y = block @ np.conj(x)
-            out[k * n + r] = 0.25 * float(np.real(np.dot(x, y)))
-            if counter is not None:
-                w = block.shape[0]
-                counter.multiplications += w * w + w
-    return out

@@ -2,20 +2,19 @@
 
 ``solve_band`` returns the minimum-norm least-squares solution in the
 lifted system's real coordinates, which describe Hermitian banded matrices
-only, so the solution is Hermitian by construction.  The measurement
-operator is rank-deficient, so that solution is only one representative of
-the solution set; ``recover`` optionally refines it by alternating
-projections between the solution set and the rank-one positive-semidefinite
-matrices, which picks the physically meaningful representative and markedly
-improves the recovered magnitudes.
+only, so the solution, a plain N x N array, is Hermitian by construction.
+The measurement operator is rank-deficient, so that solution is only one
+representative of the solution set; ``recover`` optionally refines it by
+alternating projections between the solution set and the rank-one
+positive-semidefinite matrices, which picks the physically meaningful
+representative and markedly improves the recovered magnitudes.
 ``angular_synchronize`` then reads magnitudes off the diagonal and phases
-off the leading eigenvector of the phase-normalized band matrix, and
-takes the eigen-gap from that matrix's dense spectrum.
+off the leading eigenvector of the phase-normalized band matrix, and takes
+the eigen-gap from that matrix's dense spectrum.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 
@@ -24,7 +23,8 @@ import numpy as np
 from .exceptions import (ConfigError, DegenerateSpectrum, DimensionError,
                          GridError)
 from .forward import MeasurementGrid, SpectrogramData
-from .kernels import BandedMatrix, leading_eigenvector, min_norm_least_squares
+from .kernels import (BandedMatrix, leading_eigenvector, min_norm_least_squares,
+                      truncate)
 from .lifting import LiftedSystem, assemble_system
 from .signals import Window
 
@@ -75,7 +75,6 @@ class RecoveryDiagnostics:
     eigen_gap: float | None
     rank: int
     clamped_fraction: float = 0.0
-    clamp_warning: bool = False
     refine_residual: float | None = None
 
 
@@ -99,36 +98,18 @@ class RecoveredSpectrum:
             },
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RecoveredSpectrum":
-        try:
-            freqs = np.asarray(doc["frequencies"], dtype=float)
-            fh = np.array([complex(re, im) for re, im in doc["f_hat"]])
-            diag = doc["diagnostics"]
-            return cls(freqs, fh, RecoveryDiagnostics(
-                residual=float(diag["residual"]),
-                eigen_gap=(None if diag["eigen_gap"] is None
-                           else float(diag["eigen_gap"])),
-                rank=int(diag["rank"]),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid spectrum document: {exc}") from exc
-
-    @classmethod
-    def load(cls, path) -> "RecoveredSpectrum":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 _system_cache: dict[tuple, LiftedSystem] = {}
 _cache_lock = threading.Lock()
 
 
 def cached_system(window: Window, grid: MeasurementGrid) -> LiftedSystem:
-    """Assembled system with cached dense matrix, shared per (window, grid).
+    """Assembled system, shared per (window, grid), so its matrix and
+    factorization are computed once and then reused.
 
-    Population is single-flight under a lock so concurrent recoveries reuse
-    one factorization.
+    Only the lookup and the assembly run under the lock.  The matrix and
+    its factorization are computed lazily outside it, so recoveries that
+    start concurrently on a new system may each compute them.
     """
     key = (window.key, grid.key)
     with _cache_lock:
@@ -141,16 +122,16 @@ def cached_system(window: Window, grid: MeasurementGrid) -> LiftedSystem:
 
 def solve_band(system: LiftedSystem, data: SpectrogramData,
                cfg: RecoveryConfig | None = None
-               ) -> tuple[BandedMatrix, RecoveryDiagnostics]:
+               ) -> tuple[np.ndarray, RecoveryDiagnostics]:
     """Minimum-norm least-squares solve for the banded unknown.
 
     The solve runs in the system's real coordinates, on the real matrix and
     its real thin SVD; :meth:`LiftedSystem.unpack` turns the solution into
-    a Hermitian banded matrix with no projection step, because every real
+    a Hermitian N x N array with no projection step, because every real
     coordinate vector describes one.  The operator's null space can push
-    diagonal entries slightly negative; that mass is reported (warning flag
-    above 1% of the trace) but kept in the solution so the forward image
-    still reproduces the data, and it is floored at zero later when
+    diagonal entries slightly negative; that mass is reported as a
+    fraction of the positive trace but kept in the solution so the forward
+    image still reproduces the data, and it is floored at zero later when
     magnitudes are extracted.
     """
     cfg = cfg or RecoveryConfig()
@@ -162,80 +143,80 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
     bnorm = float(np.linalg.norm(data.values))
     rel_residual = residual / bnorm if bnorm > 0 else 0.0
     f = system.unpack(x)
-    diag = np.real(f.diagonal(0))
+    diag = f.diagonal().real
     clamped = float(-diag[diag < 0].sum())
     trace = float(diag[diag > 0].sum())
-    frac = clamped / trace if trace > 0 else 0.0
     diagnostics = RecoveryDiagnostics(
         residual=rel_residual, eigen_gap=None, rank=rank,
-        clamped_fraction=frac, clamp_warning=frac > 0.01)
+        clamped_fraction=clamped / trace if trace > 0 else 0.0)
     return f, diagnostics
 
 
 def _rank_one_part(system: LiftedSystem, x: np.ndarray) -> np.ndarray:
     """Dense dominant rank-one positive-semidefinite part of the Hermitian
     matrix whose real coordinates are ``x``."""
-    evals, evecs = np.linalg.eigh(system.unpack(x).to_dense())
+    evals, evecs = np.linalg.eigh(system.unpack(x))
     vec = evecs[:, -1]
     return max(float(evals[-1]), 0.0) * np.outer(vec, np.conj(vec))
 
 
-def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: BandedMatrix,
-                     cfg: RecoveryConfig) -> tuple[BandedMatrix, float]:
+def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
+                     cfg: RecoveryConfig) -> tuple[np.ndarray, float]:
     """Alternate between the least-squares solution set and the banded
     rank-one positive-semidefinite cone.
 
     Each sweep replaces the iterate by its dominant rank-one part and then
     moves back onto the solution set by subtracting the minimum-norm
-    correction of the measurement mismatch.  The final iterate is the banded
-    rank-one part, whose diagonal and phases feed synchronization.  All of
-    it but the N x N eigensolves is real arithmetic in the system's real
-    coordinates.
+    correction of the measurement mismatch, on the singular triplets that
+    the solve keeps.  The final iterate is the band of the rank-one part,
+    whose diagonal and phases feed synchronization.  All of it but the
+    N x N eigensolves is real arithmetic in the system's real coordinates.
     """
-    u, s, vt = system.factorization
-    keep = s > cfg.rank_tol * s[0] if s.size and s[0] > 0 else np.zeros(s.shape, bool)
-    uk_t = u[:, keep].T
-    sk = s[keep]
-    vk = vt[keep].T
+    u, s, vt = truncate(system.factorization, cfg.rank_tol)
     a = system.matrix
 
     x = system.pack(f)
     for _ in range(cfg.refine_iterations):
-        y = system.pack_dense(_rank_one_part(system, x))
-        x = y - vk @ ((uk_t @ (a @ y - b)) / sk)
-    refined = BandedMatrix.from_dense(_rank_one_part(system, x), system.band,
-                                      hermitian=True)
+        y = system.pack(_rank_one_part(system, x))
+        x = y - vt.T @ ((u.T @ (a @ y - b)) / s)
+    refined = system.restrict(_rank_one_part(system, x))
     resid = float(np.linalg.norm(a @ system.pack(refined) - b))
     bnorm = float(np.linalg.norm(b))
     return refined, (resid / bnorm if bnorm > 0 else 0.0)
 
 
-def angular_synchronize(f: BandedMatrix, frequencies=None) -> RecoveredSpectrum:
-    """Extract the spectrum from a banded Hermitian outer-product estimate.
+def angular_synchronize(f: np.ndarray, frequencies=None) -> RecoveredSpectrum:
+    """Extract the spectrum from a Hermitian outer-product estimate, an
+    N x N array that is zero outside the band it was estimated on.
 
     Magnitudes are the square roots of the diagonal.  Phases are the
     entrywise arguments of the leading eigenvector of the phase-normalized
-    band matrix: in-band entries at least ``MAGNITUDE_FLOOR`` times the
-    largest in-band magnitude are replaced by their unit-modulus phases,
-    everything else by zero, and the diagonal by ones.  The output is
-    defined up to one global unimodular factor.  The eigen-gap is the ratio
-    of the two largest eigenvalues of the dense phase-normalized matrix
-    (``numpy.linalg.eigvalsh``); the power iteration supplies only the
-    vector, which converges at the rate of that gap.  The residual and rank
-    fields of the returned diagnostics belong to the solve stage and stay
-    zero when this is called standalone; ``recover`` fills them in.
+    matrix: entries at least ``MAGNITUDE_FLOOR`` times the largest
+    magnitude are replaced by their unit-modulus phases, everything else by
+    zero, and the diagonal by ones.  The output is defined up to one global
+    unimodular factor.  The eigen-gap is the ratio of the two largest
+    eigenvalues of the phase-normalized matrix (``numpy.linalg.eigvalsh``);
+    the power iteration supplies only the vector, which converges at the
+    rate of that gap.  The residual and rank fields of the returned
+    diagnostics belong to the solve stage and stay zero when this is called
+    standalone; ``recover`` fills them in.
 
     Raises
     ------
+    DimensionError
+        If ``f`` is not square or not exactly Hermitian.
     DegenerateSpectrum
         If the two leading eigenvalues are too close (ratio below
         1 + 1e-6), e.g. when no off-diagonal phase information survives
         the floor.
     """
-    if not f.hermitian:
-        raise DimensionError("synchronization needs structurally Hermitian input")
-    n = f.size
-    diag = np.maximum(np.real(f.diagonal(0)), 0.0)
+    f = np.asarray(f)
+    if f.ndim != 2 or f.shape[0] != f.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {f.shape}")
+    if not np.array_equal(f, f.conj().T):
+        raise DimensionError("synchronization needs an exactly Hermitian matrix")
+    n = f.shape[0]
+    diag = np.maximum(f.diagonal().real, 0.0)
     if frequencies is None:
         freqs = np.arange(n, dtype=float)
     else:
@@ -243,16 +224,15 @@ def angular_synchronize(f: BandedMatrix, frequencies=None) -> RecoveredSpectrum:
         if freqs.shape != (n,):
             raise DimensionError("frequency vector length mismatch")
 
-    dense = f.to_dense()
-    mags = np.abs(dense)
-    phases = np.where(mags >= MAGNITUDE_FLOOR * f.max_abs(),
-                      dense / np.where(mags > 0, mags, 1.0), 0.0)
+    mags = np.abs(f)
+    phases = np.where(mags >= MAGNITUDE_FLOOR * mags.max(),
+                      f / np.where(mags > 0, mags, 1.0), 0.0)
     np.fill_diagonal(phases, 1.0)
-    normalized = BandedMatrix.from_dense(phases, f.half_width, hermitian=True)
 
-    vec, _ = leading_eigenvector(normalized, iter_tol=POWER_TOL,
-                                 max_iters=MAX_POWER_ITERS)
-    lam2, lam1 = np.linalg.eigvalsh(normalized.to_dense())[-2:]
+    vec, _ = leading_eigenvector(
+        BandedMatrix.from_dense(phases, n - 1, hermitian=True),
+        iter_tol=POWER_TOL, max_iters=MAX_POWER_ITERS)
+    lam2, lam1 = np.linalg.eigvalsh(phases)[-2:]
     gap = float("inf") if lam2 <= 0 else float(lam1 / lam2)
     if gap < 1.0 + 1e-6:
         raise DegenerateSpectrum(

@@ -118,11 +118,17 @@ def dense_column_oracle(window, grid, band):
     return m, rows, cols
 
 
+def band_part(dense, half_width):
+    """Band restriction of a dense matrix, mirrored from its upper triangle
+    and with a real diagonal: an exactly Hermitian array."""
+    upper = np.triu(np.tril(dense, half_width), 1)
+    return upper + upper.conj().T + np.diag(dense.diagonal().real)
+
+
 def random_banded_hermitian(n, half_width, rng):
-    """Random structurally Hermitian banded matrix."""
+    """Random exactly Hermitian array, zero outside the band."""
     dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    dense = 0.5 * (dense + dense.conj().T)
-    return lp.BandedMatrix.from_dense(dense, half_width, hermitian=True)
+    return band_part(dense, half_width)
 
 
 def random_lattice_vector(n, rng, min_mag=0.1):
@@ -134,8 +140,62 @@ def random_lattice_vector(n, rng, min_mag=0.1):
 
 def rank_one_banded(vec, half_width):
     """Band restriction of the outer product vec vec*."""
-    return lp.BandedMatrix.from_dense(
-        np.outer(vec, np.conj(vec)), half_width, hermitian=True)
+    return band_part(np.outer(vec, np.conj(vec)), half_width)
+
+
+class BandWindows:
+    """A banded Hermitian matrix kept as its diagonals and read only through
+    square index windows: it holds no N x N array and offers none."""
+
+    def __init__(self, dense, half_width):
+        self.size = dense.shape[0]
+        self.half_width = half_width
+        self._diagonals = {d: np.diagonal(dense, d).copy()
+                           for d in range(-half_width, half_width + 1)}
+
+    def window(self, center, radius):
+        """``(lo, A[lo:hi, lo:hi])`` for the index window around ``center``."""
+        lo = max(0, center - radius)
+        hi = min(self.size, center + radius + 1)
+        block = np.zeros((hi - lo, hi - lo), dtype=complex)
+        for d, values in self._diagonals.items():
+            rows = np.arange(max(lo, lo - d), min(hi, hi - d))
+            block[rows - lo, rows + d - lo] = values[rows + min(d, 0)]
+        return lo, block
+
+
+class OperationCounter:
+    """Accumulates complex-multiplication counts of :func:`forward_lifted`."""
+
+    def __init__(self):
+        self.multiplications = 0
+
+
+def forward_lifted(system, f, counter=None):
+    """Oracle: the lifted operator applied row by row to a
+    :class:`BandWindows` matrix.
+
+    Each measurement row is one quarter of the local window's quadratic
+    form, so the work is O(K * N * (4*delta + 1)^2) complex multiplications
+    and no N x N matrix is formed.  Equals ``system.matrix @
+    system.pack(F)``.
+    """
+    n = system.grid.n_frequencies
+    delta = system.grid.delta
+    assert f.size == n and f.half_width == system.band
+    # window blocks depend only on the row, not the shift
+    blocks = [f.window(r, 2 * delta) for r in range(n)]
+    out = np.empty(system.n_measurements)
+    for k, vals in enumerate(system.shift_vectors):
+        for r in range(n):
+            lo, block = blocks[r]
+            x = vals[(lo - r) + 2 * delta:(lo - r) + 2 * delta + block.shape[0]]
+            y = block @ np.conj(x)
+            out[k * n + r] = 0.25 * float(np.real(np.dot(x, y)))
+            if counter is not None:
+                w = block.shape[0]
+                counter.multiplications += w * w + w
+    return out
 
 
 def align_phase(candidate, reference):

@@ -116,6 +116,28 @@ class TestRecoverCommand:
         assert run_cli(["recover", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", [["--method", "quadrature"],
+                                      ["--delta", "9"],
+                                      ["--noise-level", "0.5"],
+                                      ["--seed", "3"]])
+    def test_measurement_flags_are_rejected(self, tmp_path, capsys, flag):
+        # the measurement file fixes the method, delta and noise, so recover
+        # has no such flags and argparse rejects them
+        grid = {"n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
+                "delta": 3}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"grid": grid}))
+        sim = tmp_path / "sim"
+        assert run_cli(["simulate", "--method", "series", "--config",
+                        str(cfg_path), "--out", str(sim)]) == 0
+        out = tmp_path / "rec"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["recover", str(sim / "measurement.json"), *flag,
+                     "--out", str(out)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["recover", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path)])
@@ -183,6 +205,28 @@ class TestExperiment:
                         "--delta", "16", "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
         assert "too few" in capsys.readouterr().err
+
+    def test_svd_failure_exits_numerical_and_leaves_no_artifact(
+            self, tmp_path, monkeypatch, capsys):
+        # a cold factorization whose SVD does not converge is a numerical
+        # failure (exit 4), not a traceback
+        from liftphase import recovery
+
+        def diverges(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(recovery, "_system_cache", {})
+        monkeypatch.setattr(np.linalg, "svd", diverges)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"grid": {
+            "n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
+            "delta": 3}}))
+        out = tmp_path / "out"
+        code = run_cli(["experiment", "paper-1", "--method", "series",
+                        "--config", str(cfg_path), "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        assert "SVD did not converge" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_noise_level_recorded_in_artifact(self, tmp_path):
         out = tmp_path / "noisy"

@@ -5,8 +5,8 @@ import pytest
 from liftphase import (BandedMatrix, NonConvergence, QuadratureSpec,
                        integrate_complex, leading_eigenvector,
                        min_norm_least_squares)
-from liftphase.exceptions import DimensionError
-from liftphase.kernels import MAX_NODES
+from liftphase.exceptions import DecompositionFailure, DimensionError
+from liftphase.kernels import MAX_NODES, thin_svd, truncate
 
 from conftest import align_phase, random_banded_hermitian
 
@@ -124,6 +124,25 @@ class TestMinNormLeastSquares:
         with pytest.raises(DimensionError):
             min_norm_least_squares(np.eye(3), np.ones(2))
 
+    def test_truncation_sets_the_rank(self):
+        # the solve keeps exactly the triplets truncate keeps
+        a = np.diag([4.0, 1.0, 1e-3, 1e-9])
+        factors = thin_svd(a)
+        for rank_tol, rank in ((1e-10, 4), (1e-6, 3), (1e-2, 2), (0.5, 1)):
+            u, s, vh = truncate(factors, rank_tol)
+            assert s.size == u.shape[1] == vh.shape[0] == rank
+            assert min_norm_least_squares(a, np.ones(4), rank_tol=rank_tol,
+                                          factorization=factors)[2] == rank
+        assert truncate(thin_svd(np.zeros((3, 2))), 1e-10)[1].size == 0
+
+    def test_svd_failure_is_a_decomposition_failure(self, monkeypatch):
+        def diverges(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", diverges)
+        with pytest.raises(DecompositionFailure):
+            min_norm_least_squares(np.eye(3), np.ones(3))
+
 
 def full_band(h):
     """A dense Hermitian matrix as a full-band Hermitian BandedMatrix."""
@@ -155,10 +174,11 @@ class TestLeadingEigenvector:
         f = np.exp(2j * np.pi * rng.uniform(0, 1, n)) * rng.uniform(0.2, 1.0, n)
         outer = np.outer(f, np.conj(f))
         phases = outer / np.abs(outer)
+        phases = np.triu(np.tril(phases, half_width), -half_width)
+        np.fill_diagonal(phases, 1.0)
         banded = BandedMatrix.from_dense(phases, half_width, hermitian=True)
-        banded.set_diagonal(0, np.ones(n, dtype=complex))
         v, lam = leading_eigenvector(banded, iter_tol=1e-11)
-        evals, evecs = np.linalg.eigh(banded.to_dense())
+        evals, evecs = np.linalg.eigh(phases)
         assert lam == pytest.approx(evals[-1], abs=1e-9)
         assert abs(np.vdot(v, evecs[:, -1])) == pytest.approx(1.0, abs=1e-9)
         # entrywise phases match the true vector's up to one global phase
@@ -192,44 +212,39 @@ class TestBandedMatrix:
     def test_round_trip_on_band_supported_matrix(self):
         rng = np.random.default_rng(1)
         dense = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        for d in range(-7, 8):
-            if abs(d) > 2:
-                dense -= np.diag(np.diagonal(dense, d), d)
-        banded = BandedMatrix.from_dense(dense, 2)
-        assert np.array_equal(banded.to_dense(), dense)
-        # window extraction also holds without the hermitian flag
-        for center in (0, 4, 7):
-            lo, block = banded.window(center, 2)
-            hi = lo + block.shape[0]
-            assert np.array_equal(block, dense[lo:hi, lo:hi])
+        banded_dense = np.triu(np.tril(dense, 2), -2)
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        # out-of-band entries are dropped
+        assert np.array_equal(BandedMatrix.from_dense(dense, 2).matvec(v),
+                              banded_dense @ v)
 
     def test_hermitian_is_structural(self):
-        banded = BandedMatrix(4, 1, hermitian=True)
-        vals = np.array([1 + 2j, 3 - 1j, 0.5j])
-        banded.set_diagonal(1, vals)
-        assert np.array_equal(banded.diagonal(-1), np.conj(vals))
-        dense = banded.to_dense()
-        assert np.array_equal(dense, dense.conj().T)
-        banded.set_diagonal(0, np.array([1 + 1j, 2, 3, 4]))  # imaginary part dropped
-        assert np.array_equal(banded.diagonal(0), np.array([1, 2, 3, 4], dtype=complex))
+        dense = np.array([[1 + 1j, 1 + 2j, 5.0, 0.0],
+                          [7.0, 2.0, 3 - 1j, 0.0],
+                          [0.0, 7.0, 3.0, 0.5j],
+                          [0.0, 0.0, 7.0, 4.0]])
+        # the upper triangle is mirrored and the diagonal's imaginary part
+        # dropped; entry (0, 2) lies outside the band
+        expected = np.array([[1, 1 + 2j, 0, 0],
+                             [1 - 2j, 2, 3 - 1j, 0],
+                             [0, 3 + 1j, 3, 0.5j],
+                             [0, 0, -0.5j, 4]])
+        banded = BandedMatrix.from_dense(dense, 1, hermitian=True)
+        for column in np.eye(4):
+            assert np.array_equal(banded.matvec(column), expected @ column)
 
-    def test_window_and_matvec_match_dense(self):
+    def test_matvec_and_one_norm_match_dense(self):
         rng = np.random.default_rng(2)
-        banded = random_banded_hermitian(11, 4, rng)
-        dense = banded.to_dense()
-        for center in (0, 3, 10):
-            lo, block = banded.window(center, 3)
-            hi = lo + block.shape[0]
-            assert np.array_equal(block, dense[lo:hi, lo:hi])
+        dense = random_banded_hermitian(11, 4, rng)
+        banded = BandedMatrix.from_dense(dense, 4, hermitian=True)
         v = rng.standard_normal(11) + 1j * rng.standard_normal(11)
         assert np.allclose(banded.matvec(v), dense @ v, atol=1e-13)
         assert banded.one_norm() == pytest.approx(np.abs(dense).sum(axis=0).max())
-        assert banded.max_abs() == pytest.approx(np.abs(dense).max())
 
     def test_dimension_validation(self):
         with pytest.raises(DimensionError):
             BandedMatrix(3, 3)
         with pytest.raises(DimensionError):
-            BandedMatrix(4, 1).set_diagonal(2, np.zeros(2))
+            BandedMatrix.from_dense(np.zeros((3, 2)), 1)
         with pytest.raises(DimensionError):
-            BandedMatrix(4, 1).set_diagonal(1, np.zeros(4))
+            BandedMatrix(4, 1).matvec(np.zeros(3))

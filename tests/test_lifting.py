@@ -4,9 +4,15 @@ import pytest
 import liftphase as lp
 from liftphase.exceptions import DimensionError, GridError
 
-from conftest import (chirped_window, dense_column_oracle,
+from conftest import (BandWindows, OperationCounter, chirped_window,
+                      dense_column_oracle, forward_lifted,
                       random_banded_hermitian, rank_one_banded, skewed_specimen,
                       tilted_window)
+
+
+def lifted(system, f):
+    """The pipeline's lifted operator applied to a Hermitian array."""
+    return system.matrix @ system.pack(f)
 
 
 class TestShiftVector:
@@ -66,15 +72,18 @@ class TestToeplitzBlock:
 
 
 class TestBandCoordinates:
-    def test_count_formula_matches_enumeration(self):
-        for n, w in [(5, 1), (9, 4), (21, 12), (61, 14), (61, 28)]:
-            count = sum(1 for i in range(n) for j in range(n) if abs(i - j) <= w)
-            assert lp.band_coordinate_count(n, w) == count
+    def test_count_formula_matches_enumeration(self, window):
+        # one real coordinate per in-band entry |i - j| <= 4*delta
+        for n, delta in [(5, 1), (9, 2), (21, 3), (29, 7), (61, 7)]:
+            system = lp.assemble_system(window, lp.half_integer_grid(n, 1, 0.1,
+                                                                     delta))
+            count = sum(1 for i in range(n) for j in range(n)
+                        if abs(i - j) <= 4 * delta)
+            assert system.n_unknowns == count
 
-    def test_paper_scale_counts(self):
-        # band 2*delta: N(4d+1) - 2d(2d+1); the working band 4*delta doubles it
-        assert lp.band_coordinate_count(61, 14) == 61 * 29 - 14 * 15 == 1559
-        assert lp.band_coordinate_count(61, 28) == 61 * 57 - 28 * 29 == 2665
+    def test_paper_scale_counts(self, paper_system):
+        # the working band 4*delta: N(8d+1) - 4d(4d+1)
+        assert paper_system.n_unknowns == 61 * 57 - 28 * 29 == 2665
 
 
 class TestAssembleSystem:
@@ -89,8 +98,8 @@ class TestAssembleSystem:
         rng = np.random.default_rng(5)
         for _ in range(draws):
             f = random_banded_hermitian(grid.n_frequencies, system.band, rng)
-            expected = oracle @ f.to_dense()[rows, cols]
-            got = system.matrix @ system.pack(f)
+            expected = oracle @ f[rows, cols]
+            got = lifted(system, f)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_columns_match_dense_basis_oracle_tiny(self, window):
@@ -100,7 +109,7 @@ class TestAssembleSystem:
 
     def test_columns_match_dense_basis_oracle_small(self, window):
         grid = lp.half_integer_grid(9, 3, 0.07, 2)
-        assert lp.band_coordinate_count(9, 8) == 81
+        assert lp.assemble_system(window, grid).n_unknowns == 81
         self._check_against_oracle(window, grid, 120)
 
     def test_singular_values_and_rank_match_oracle(self, small_setup, window):
@@ -123,21 +132,29 @@ class TestAssembleSystem:
         assert paper_system.band == 28
         assert paper_system.n_measurements == 671
 
-    def test_lazy_materialization_and_structured_memory(self, window):
+    def test_lazy_materialization_and_structured_memory(self, window,
+                                                        monkeypatch):
+        from liftphase import lifting
+
+        def forbidden(*args):
+            raise AssertionError("assembly materialized a Toeplitz block")
+
         grid = lp.half_integer_grid(21, 5, 0.05, 3)
-        system = lp.assemble_system(window, grid)
-        assert not system.materialized()
+        with monkeypatch.context() as patch:
+            patch.setattr(lifting, "toeplitz_block", forbidden)
+            system = lp.assemble_system(window, grid)
         stored = sum(sv.size for sv in system.shift_vectors)
         assert stored == grid.n_shifts * (4 * grid.delta + 1)
-        _ = system.matrix
-        assert system.materialized()
+        assert system.matrix.shape == (system.n_measurements, system.n_unknowns)
 
     def test_pack_unpack_round_trip(self, small_setup):
         grid, system = small_setup
         rng = np.random.default_rng(0)
         f = random_banded_hermitian(grid.n_frequencies, system.band, rng)
         back = system.unpack(system.pack(f))
-        assert np.allclose(back.to_dense(), f.to_dense(), atol=1e-15)
+        assert np.allclose(back, f, atol=1e-15)
+        assert np.array_equal(back, back.conj().T)
+        assert np.array_equal(system.restrict(f), f)
 
     def test_pack_is_an_isometry(self, small_setup):
         # the dot product of two coordinate vectors is the Frobenius inner
@@ -148,40 +165,39 @@ class TestAssembleSystem:
             f = random_banded_hermitian(grid.n_frequencies, system.band, rng)
             g = random_banded_hermitian(grid.n_frequencies, system.band, rng)
             x, y = system.pack(f), system.pack(g)
-            frobenius = np.vdot(f.to_dense(), g.to_dense())
+            frobenius = np.vdot(f, g)
             assert x.dtype == np.float64 and x.shape == (system.n_unknowns,)
             assert np.dot(x, y) == pytest.approx(frobenius.real, rel=1e-13)
-            assert np.linalg.norm(x) == pytest.approx(
-                np.linalg.norm(f.to_dense()), rel=1e-13)
+            assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(f),
+                                                      rel=1e-13)
 
 
 class TestForwardLifted:
+    """The lifted operator ``matrix @ pack(F)`` against the model, and
+    against the row-by-row oracle of criteria 5 and 8."""
+
     def test_zero_matrix(self, small_setup):
         grid, system = small_setup
-        f = lp.BandedMatrix(grid.n_frequencies, system.band, hermitian=True)
-        assert np.all(lp.forward_lifted(system, f) == 0)
+        f = np.zeros((grid.n_frequencies, grid.n_frequencies), dtype=complex)
+        assert np.all(lifted(system, f) == 0)
 
     def test_flattening_consistency(self, small_setup):
         grid, system = small_setup
         rng = np.random.default_rng(42)
         for _ in range(100):
             f = random_banded_hermitian(grid.n_frequencies, system.band, rng)
-            structured = lp.forward_lifted(system, f)
-            flat = system.matrix @ system.pack(f)
+            structured = forward_lifted(system, BandWindows(f, system.band))
+            flat = lifted(system, f)
             scale = np.linalg.norm(flat)
-            assert np.linalg.norm(structured - flat.real) <= 1e-12 * scale
-            assert np.max(np.abs(flat.imag)) <= 1e-12 * scale
+            assert np.linalg.norm(structured - flat) <= 1e-12 * scale
 
     def test_linearity(self, small_setup):
         grid, system = small_setup
         rng = np.random.default_rng(7)
         f1 = random_banded_hermitian(grid.n_frequencies, system.band, rng)
         f2 = random_banded_hermitian(grid.n_frequencies, system.band, rng)
-        combo = lp.BandedMatrix.from_dense(
-            1.5 * f1.to_dense() - 0.25 * f2.to_dense(), system.band,
-            hermitian=True)
-        lhs = lp.forward_lifted(system, combo)
-        rhs = 1.5 * lp.forward_lifted(system, f1) - 0.25 * lp.forward_lifted(system, f2)
+        lhs = lifted(system, 1.5 * f1 - 0.25 * f2)
+        rhs = 1.5 * lifted(system, f1) - 0.25 * lifted(system, f2)
         assert np.allclose(lhs, rhs, atol=1e-12 * max(np.linalg.norm(rhs), 1.0))
 
     def test_true_rank_one_matches_series_paper_scale(self, paper_system, window,
@@ -189,9 +205,9 @@ class TestForwardLifted:
         grid = paper_system.grid
         f_vec = lp.fourier_samples(gaussian, grid.frequencies)
         f = rank_one_banded(f_vec, paper_system.band)
-        lifted = lp.forward_lifted(paper_system, f)
         series = b_series["gaussian"].values
-        assert np.linalg.norm(lifted - series) / np.linalg.norm(series) <= 1e-10
+        assert np.linalg.norm(lifted(paper_system, f) - series) \
+            / np.linalg.norm(series) <= 1e-10
 
     def test_off_center_shifts_match_quadrature(self, paper_system, window):
         # the specimen is complex and not even, so its spectrogram at shift -l
@@ -201,13 +217,13 @@ class TestForwardLifted:
         signal = skewed_specimen()
         f = rank_one_banded(lp.fourier_samples(signal, grid.frequencies),
                             paper_system.band)
-        lifted = lp.forward_lifted(paper_system, f)
+        image = lifted(paper_system, f)
         n = grid.n_frequencies
         for k in (0, grid.n_shifts - 1):
             quad = np.array([
                 lp.spectrogram_quadrature(signal, window, grid.shifts[k], w)
                 for w in grid.frequencies])
-            row = lifted[k * n:(k + 1) * n]
+            row = image[k * n:(k + 1) * n]
             assert np.linalg.norm(row - quad) / np.linalg.norm(quad) <= 1e-4
 
     @pytest.mark.parametrize("make_window", [tilted_window, chirped_window],
@@ -221,9 +237,9 @@ class TestForwardLifted:
         system = lp.assemble_system(window, grid)
         f = rank_one_banded(lp.fourier_samples(modulated, grid.frequencies),
                             system.band)
-        lifted = lp.forward_lifted(system, f)
         quad = lp.measure(modulated, window, grid, method="quadrature").values
-        assert np.linalg.norm(lifted - quad) / np.linalg.norm(quad) <= 1e-4
+        assert np.linalg.norm(lifted(system, f) - quad) / np.linalg.norm(quad) \
+            <= 1e-4
 
     def test_true_rank_one_on_small_grid_clips_edges(self, small_setup, window,
                                                      gaussian):
@@ -232,9 +248,9 @@ class TestForwardLifted:
         grid, system = small_setup
         f_vec = lp.fourier_samples(gaussian, grid.frequencies)
         f = rank_one_banded(f_vec, system.band)
-        lifted = lp.forward_lifted(system, f)
         series = lp.measure(gaussian, window, grid, method="series").values
-        assert np.linalg.norm(lifted - series) / np.linalg.norm(series) <= 1e-3
+        assert np.linalg.norm(lifted(system, f) - series) \
+            / np.linalg.norm(series) <= 1e-3
 
     def test_global_phase_erased_by_rank_one_constructor(self, small_setup,
                                                          gaussian):
@@ -242,34 +258,36 @@ class TestForwardLifted:
         f_vec = lp.fourier_samples(gaussian, grid.frequencies)
         a = rank_one_banded(f_vec, system.band)
         b = rank_one_banded(np.exp(0.9j) * f_vec, system.band)
-        assert np.allclose(a.to_dense(), b.to_dense(), atol=1e-15)
+        assert np.allclose(a, b, atol=1e-15)
 
     def test_operation_count_bound(self, paper_system):
         n = paper_system.grid.n_frequencies
         k = paper_system.grid.n_shifts
         width = 4 * paper_system.grid.delta + 1
-        f = lp.BandedMatrix(n, paper_system.band, hermitian=True)
-        f.set_diagonal(0, np.ones(n, dtype=complex))
-        counter = lp.OperationCounter()
-        lp.forward_lifted(paper_system, f, counter=counter)
+        f = BandWindows(np.eye(n, dtype=complex), paper_system.band)
+        counter = OperationCounter()
+        forward_lifted(paper_system, f, counter=counter)
         assert counter.multiplications <= 2 * k * n * width ** 2
 
     def test_never_materializes_dense(self, small_setup):
+        # the oracle reads F only through windows of at most 4*delta + 1
         grid, system = small_setup
+        widths = []
 
-        class NoDense(lp.BandedMatrix):
-            def to_dense(self):
-                raise AssertionError("dense materialization is forbidden here")
+        class Recording(BandWindows):
+            def window(self, center, radius):
+                lo, block = super().window(center, radius)
+                widths.append(block.shape[0])
+                return lo, block
 
-        f = NoDense(grid.n_frequencies, system.band, hermitian=True)
-        f.set_diagonal(0, np.ones(grid.n_frequencies, dtype=complex))
-        out = lp.forward_lifted(system, f)
+        f = Recording(np.eye(grid.n_frequencies, dtype=complex), system.band)
+        out = forward_lifted(system, f)
         assert out.shape == (system.n_measurements,)
+        assert max(widths) == 4 * grid.delta + 1 < grid.n_frequencies
 
     def test_dimension_checks(self, small_setup):
         grid, system = small_setup
         with pytest.raises(DimensionError):
-            lp.forward_lifted(system, lp.BandedMatrix(grid.n_frequencies, 2,
-                                                      hermitian=True))
+            system.pack(np.eye(grid.n_frequencies - 1))
         with pytest.raises(DimensionError):
-            lp.forward_lifted(system, lp.BandedMatrix(11, 5, hermitian=True))
+            system.unpack(np.zeros(system.n_unknowns + 1))

@@ -7,8 +7,8 @@ import liftphase as lp
 from liftphase.exceptions import (ConfigError, DegenerateSpectrum,
                                   DimensionError)
 
-from conftest import (align_phase, dense_column_oracle, random_lattice_vector,
-                      rank_one_banded)
+from conftest import (BandWindows, align_phase, dense_column_oracle,
+                      forward_lifted, random_lattice_vector, rank_one_banded)
 
 
 class TestSolveBand:
@@ -17,7 +17,8 @@ class TestSolveBand:
         data = lp.SpectrogramData(np.zeros(system.n_measurements), grid,
                                   provenance="series")
         f, diag = lp.solve_band(system, data)
-        assert np.all(f.to_dense() == 0)
+        assert f.shape == (grid.n_frequencies, grid.n_frequencies)
+        assert np.all(f == 0)
         assert diag.residual == 0.0
 
     def test_rank_one_forward_residual(self, small_setup):
@@ -27,20 +28,19 @@ class TestSolveBand:
         rng = np.random.default_rng(21)
         vec = random_lattice_vector(grid.n_frequencies, rng)
         truth = rank_one_banded(vec, system.band)
-        b = lp.forward_lifted(system, truth)
+        b = forward_lifted(system, BandWindows(truth, system.band))
         data = lp.SpectrogramData(b, grid, provenance="series")
         f, diag = lp.solve_band(system, data)
-        reproduced = lp.forward_lifted(system, f)
+        reproduced = forward_lifted(system, BandWindows(f, system.band))
         assert np.linalg.norm(reproduced - b) / np.linalg.norm(b) <= 1e-8
         assert diag.residual <= 1e-8
 
     def test_paper_gaussian_residual(self, paper_system, b_quad):
         f, diag = lp.solve_band(paper_system, b_quad["gaussian"])
         assert diag.residual <= 1e-3
-        assert f.hermitian
+        assert np.array_equal(f, f.conj().T)
         # negative-diagonal mass is a reported diagnostic, not silently fixed
         assert diag.clamped_fraction < 0.01
-        assert not diag.clamp_warning
 
     def test_dimension_mismatch(self, paper_system, small_setup):
         grid, _ = small_setup
@@ -61,10 +61,8 @@ class TestAngularSynchronize:
         assert np.linalg.norm(aligned - vec) / np.linalg.norm(vec) <= 1e-10
 
     def test_diagonal_only_is_degenerate(self):
-        f = lp.BandedMatrix(9, 4, hermitian=True)
-        f.set_diagonal(0, np.ones(9, dtype=complex))
         with pytest.raises(DegenerateSpectrum):
-            lp.angular_synchronize(f)
+            lp.angular_synchronize(np.eye(9, dtype=complex))
 
     def test_real_positive_vector_gives_constant_phase(self):
         rng = np.random.default_rng(8)
@@ -86,8 +84,12 @@ class TestAngularSynchronize:
         assert np.linalg.norm(aligned - first.f_hat) <= 1e-10
 
     def test_requires_hermitian_storage(self):
-        with pytest.raises(DimensionError):
-            lp.angular_synchronize(lp.BandedMatrix(5, 2, hermitian=False))
+        vec = random_lattice_vector(5, np.random.default_rng(6))
+        f = rank_one_banded(vec, 2)
+        for bad in (f[:, :4], f[None], f + np.triu(np.full((5, 5), 1e-15), 1),
+                    f + 1e-15j * np.eye(5)):
+            with pytest.raises(DimensionError):
+                lp.angular_synchronize(bad)
 
     def test_eigen_gap_reported(self, small_setup):
         grid, system = small_setup
@@ -131,7 +133,8 @@ class TestRefinement:
     def _check_against_reference(grid, system, window, cfg, noise):
         rng = np.random.default_rng(0)
         vec = random_lattice_vector(grid.n_frequencies, rng)
-        clean = lp.forward_lifted(system, rank_one_banded(vec, system.band))
+        clean = forward_lifted(system, BandWindows(
+            rank_one_banded(vec, system.band), system.band))
         b = clean * (1.0 + rng.uniform(-noise, noise, clean.size))
         expected, residual = pinv_eigh_reference(window, grid, b, cfg)
         spectrum = lp.recover(lp.SpectrogramData(b, grid, provenance="series"),
@@ -283,17 +286,12 @@ class TestSpectrumSerialization:
         spectrum = lp.angular_synchronize(rank_one_banded(vec, system.band),
                                           frequencies=grid.frequencies)
         doc = json.loads(json.dumps(spectrum.to_dict()))
-        back = lp.RecoveredSpectrum.from_dict(doc)
-        assert np.array_equal(back.f_hat, spectrum.f_hat)
-        assert np.array_equal(back.frequencies, spectrum.frequencies)
-        assert back.diagnostics.eigen_gap == pytest.approx(
-            spectrum.diagnostics.eigen_gap)
+        f_hat = np.array([complex(re, im) for re, im in doc["f_hat"]])
+        assert np.array_equal(f_hat, spectrum.f_hat)
+        assert np.array_equal(doc["frequencies"], spectrum.frequencies)
+        assert doc["diagnostics"]["eigen_gap"] == spectrum.diagnostics.eigen_gap
 
     def test_zero_spectrum_serializes_null_gap(self, grid, window):
         data = lp.SpectrogramData(np.zeros(671), grid, provenance="series")
         doc = lp.recover(data, window).to_dict()
         assert doc["diagnostics"]["eigen_gap"] is None
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ConfigError):
-            lp.RecoveredSpectrum.from_dict({"frequencies": [0.0]})
