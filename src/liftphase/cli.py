@@ -80,6 +80,9 @@ CONFIG_KEYS = {
                  "refine_iterations": "refine_iterations"},
 }
 _GRID_SIZE_KEYS = ("n_frequencies", "n_shifts", "shift_spacing")
+#: Sections that describe the measurement.  ``recover`` takes them from its
+#: measurement file, so its config file may not set them.
+_MEASUREMENT_KEYS = ("method", "grid", "noise")
 
 
 @dataclass(frozen=True)
@@ -138,10 +141,13 @@ class _IOFailure(LiftphaseError):
     pass
 
 
-def _build_config(args, preset: dict | None = None) -> ExperimentConfig:
+def _build_config(args, preset: dict | None = None,
+                  measures: bool = True) -> ExperimentConfig:
     updates = dict(preset or {})
     if getattr(args, "config", None):
         doc = _config_from_file(args.config)
+        if not measures:
+            _reject_measurement_keys(doc)
         updates.update(_read_keys(doc, CONFIG_KEYS, ""))
         _check_preset(doc.get("grid") or {})
     # flags override the file
@@ -175,6 +181,20 @@ def _read_keys(doc: dict, table: dict, where: str) -> dict:
                         value)
             updates[target] = value
     return updates
+
+
+def _reject_measurement_keys(doc: dict) -> None:
+    """Raise ConfigError naming the first measurement key the document sets
+    (null values count as absent, as in :func:`_read_keys`)."""
+    for key in _MEASUREMENT_KEYS:
+        value = doc.get(key)
+        if isinstance(value, dict):
+            value = {sub: v for sub, v in value.items() if v is not None}
+            key = f"{key}.{next(iter(value))}" if value else key
+        if value is not None and value != {}:
+            raise ConfigError(
+                f"config key {key!r} does not apply to recover: the "
+                f"measurement file fixes the method, grid and noise")
 
 
 def _check_preset(grid_doc: dict) -> None:
@@ -257,7 +277,7 @@ def _recover_from_data(cfg: ExperimentConfig, data: forward.SpectrogramData,
 
 
 def cmd_recover(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, measures=False)
     try:
         data = forward.SpectrogramData.load(args.measurement)
     except OSError as exc:

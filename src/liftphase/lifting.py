@@ -18,6 +18,8 @@ one lifted operator, materialized as a real array.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .exceptions import DimensionError
@@ -108,7 +110,9 @@ class LiftedSystem:
     inner product of the two matrices) and differ from the complex entry
     coordinates by a unitary change of basis, so the real measurement
     matrix has the singular values of the complex one.  It is built lazily
-    on first access, and its thin SVD is cached for repeated solves.
+    on first access, and its thin SVD is cached for repeated solves.  Both
+    are computed under a per-system lock, so concurrent first accesses
+    compute each once.
     """
 
     def __init__(self, window: Window, grid: MeasurementGrid):
@@ -121,6 +125,8 @@ class LiftedSystem:
         self.upper = np.nonzero((offsets < 0) & (offsets >= -self.band))
         self._matrix: np.ndarray | None = None
         self._factorization = None
+        # reentrant: the factorization reads the matrix under it
+        self._lock = threading.RLock()
 
     @property
     def n_measurements(self) -> int:
@@ -168,24 +174,27 @@ class LiftedSystem:
         ``conj(v) vᵀ / 4`` with F.  Its row is therefore
         ``pack(conj(v) vᵀ / 4)``.
         """
-        if self._matrix is None:
-            n = self.grid.n_frequencies
-            m = np.empty((self.n_measurements, self.n_unknowns))
-            for k, vals in enumerate(self.shift_vectors):
-                # row r of the block is the shift vector positioned at r
-                g = toeplitz_block(vals, n)
-                m[k * n:(k + 1) * n] = _coordinates(
-                    0.25 * np.abs(g) ** 2,
-                    0.25 * np.conj(g[:, self.upper[0]]) * g[:, self.upper[1]])
-            self._matrix = m
-        return self._matrix
+        with self._lock:
+            if self._matrix is None:
+                n = self.grid.n_frequencies
+                m = np.empty((self.n_measurements, self.n_unknowns))
+                for k, vals in enumerate(self.shift_vectors):
+                    # row r of the block is the shift vector positioned at r
+                    g = toeplitz_block(vals, n)
+                    m[k * n:(k + 1) * n] = _coordinates(
+                        0.25 * np.abs(g) ** 2,
+                        0.25 * np.conj(g[:, self.upper[0]])
+                        * g[:, self.upper[1]])
+                self._matrix = m
+            return self._matrix
 
     @property
     def factorization(self):
         """Cached thin SVD of the real matrix."""
-        if self._factorization is None:
-            self._factorization = thin_svd(self.matrix)
-        return self._factorization
+        with self._lock:
+            if self._factorization is None:
+                self._factorization = thin_svd(self.matrix)
+            return self._factorization
 
 
 def assemble_system(window: Window, grid: MeasurementGrid) -> LiftedSystem:

@@ -107,9 +107,10 @@ def cached_system(window: Window, grid: MeasurementGrid) -> LiftedSystem:
     """Assembled system, shared per (window, grid), so its matrix and
     factorization are computed once and then reused.
 
-    Only the lookup and the assembly run under the lock.  The matrix and
-    its factorization are computed lazily outside it, so recoveries that
-    start concurrently on a new system may each compute them.
+    Only the lookup and the assembly run under the cache lock.  The matrix
+    and its factorization are computed lazily under the system's own lock,
+    so recoveries that start concurrently on a new system compute them
+    once, and recoveries on other systems do not wait for them.
     """
     key = (window.key, grid.key)
     with _cache_lock:

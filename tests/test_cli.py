@@ -82,6 +82,34 @@ class TestRecoverCommand:
             "diagnostics"]["residual"]
         assert residual is not None and np.isfinite(residual)
 
+    @pytest.mark.parametrize("document, key", [
+        ({"method": "quadrature", "grid": {"delta": 9, "n_frequencies": 61},
+          "noise": {"level": 0.5, "seed": 3}}, "method"),
+        ({"grid": {"delta": 9, "n_frequencies": 61}}, "grid.delta"),
+        ({"grid": {"preset": "paper"}}, "grid.preset"),
+        ({"noise": {"level": None, "seed": 3}}, "noise.seed"),
+    ])
+    def test_measurement_config_keys_rejected(self, tmp_path, capsys,
+                                              document, key):
+        # the measurement file fixes the method, grid and noise; a config
+        # file that sets them would be silently ignored
+        small = {"method": "series", "grid": {
+            "n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
+            "delta": 3}}
+        (tmp_path / "small.json").write_text(json.dumps(small))
+        data = tmp_path / "data"
+        assert run_cli(["simulate", "--config", str(tmp_path / "small.json"),
+                        "--out", str(data)]) == 0
+        (tmp_path / "recover.json").write_text(json.dumps(document))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli(["recover", str(data / "measurement.json"),
+                        "--config", str(tmp_path / "recover.json"),
+                        "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tampered_measurement_rejected(self, tmp_path):
         out = tmp_path / "exp"
         run_cli(["simulate", "--signal", "zero", "--method", "series",

@@ -131,6 +131,9 @@ class TestMinNormLeastSquares:
         for rank_tol, rank in ((1e-10, 4), (1e-6, 3), (1e-2, 2), (0.5, 1)):
             u, s, vh = truncate(factors, rank_tol)
             assert s.size == u.shape[1] == vh.shape[0] == rank
+            # the kept triplets are a prefix: views, not copies
+            assert all(np.shares_memory(kept, full)
+                       for kept, full in zip((u, s, vh), factors))
             assert min_norm_least_squares(a, np.ones(4), rank_tol=rank_tol,
                                           factorization=factors)[2] == rank
         assert truncate(thin_svd(np.zeros((3, 2))), 1e-10)[1].size == 0
@@ -142,6 +145,47 @@ class TestMinNormLeastSquares:
         monkeypatch.setattr(np.linalg, "svd", diverges)
         with pytest.raises(DecompositionFailure):
             min_norm_least_squares(np.eye(3), np.ones(3))
+
+    def test_qr_failure_is_a_decomposition_failure(self, monkeypatch):
+        def diverges(*args, **kwargs):
+            raise np.linalg.LinAlgError("QR failed")
+
+        monkeypatch.setattr(np.linalg, "qr", diverges)
+        with pytest.raises(DecompositionFailure):
+            thin_svd(np.ones((2, 5)))
+
+
+def _rank_three(m, n, rng):
+    return rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
+
+
+class TestThinSvd:
+    """The R-SVD against LAPACK's direct SVD."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.standard_normal((7, 19)),
+        lambda rng: rng.standard_normal((19, 7)),
+        lambda rng: rng.standard_normal((9, 9)),
+        lambda rng: _rank_three(8, 15, rng),
+        lambda rng: _rank_three(15, 8, rng),
+        lambda rng: (rng.standard_normal((6, 11))
+                     + 1j * rng.standard_normal((6, 11))),
+    ], ids=["wide", "tall", "square", "rank-deficient-wide",
+            "rank-deficient-tall", "complex-wide"])
+    def test_matches_direct_svd(self, make):
+        a = make(np.random.default_rng(5))
+        u, s, vh = thin_svd(a)
+        k = min(a.shape)
+        assert u.shape == (a.shape[0], k) and vh.shape == (k, a.shape[1])
+        scale = s[0]
+        reference = np.linalg.svd(a, compute_uv=False)
+        assert np.abs(s - reference).max() <= 1e-13 * scale
+        assert np.all(np.diff(s) <= 0)
+        assert np.abs(u.conj().T @ u - np.eye(k)).max() <= 1e-13
+        assert np.abs(vh @ vh.conj().T - np.eye(k)).max() <= 1e-13
+        assert np.abs((u * s) @ vh - a).max() <= 1e-13 * scale
+        # row prefixes of C-ordered factors stay cheap to multiply
+        assert u.flags.c_contiguous and vh.flags.c_contiguous
 
 
 def full_band(h):

@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -254,6 +257,42 @@ class TestRecover:
 
     def test_system_cache_shares_instances(self, window, grid):
         assert lp.cached_system(window, grid) is lp.cached_system(window, grid)
+
+    def test_concurrent_recoveries_factor_a_new_system_once(
+            self, b_series, window, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+        from liftphase import lifting, recovery
+
+        calls = []
+        real_svd = lifting.thin_svd
+
+        def slow_counting_svd(a):
+            calls.append(a.shape)
+            time.sleep(0.2)  # holds the race window open
+            return real_svd(a)
+
+        monkeypatch.setattr(recovery, "_system_cache", {})
+        monkeypatch.setattr(lifting, "thin_svd", slow_counting_svd)
+        workers = 4
+        start = threading.Barrier(workers)
+
+        def run():
+            start.wait(timeout=30)
+            return lp.recover(b_series["gaussian"], window)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(run) for _ in range(workers)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [(671, 2665)]
+        # concurrent BLAS calls may split sums differently: compare to 1e-9
+        scale = np.linalg.norm(results[0].f_hat)
+        assert all(np.linalg.norm(r.f_hat - results[0].f_hat) <= 1e-9 * scale
+                   for r in results)
 
     def test_off_lattice_grid_rejected_before_assembly(self, window,
                                                         monkeypatch):
