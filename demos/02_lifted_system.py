@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Inspect the lifted linear system: banded Toeplitz blocks, the real
-measurement matrix over the real coordinates of the band, its rank, and
-its agreement with the series measurements.
+measurement matrix over the real coordinates of the band, the two
+shift-parity blocks its SVD is taken in, its rank, and its agreement with
+the series measurements.
 
 The quadratic measurements are linear in the outer product of the unknown
 Fourier samples; each measurement row reads a small window of that matrix,
@@ -35,6 +36,12 @@ print(f"structured state before materialization: "
       f"{sum(s.size for s in system.shift_vectors)} complex numbers")
 
 print("\n== singular spectrum ==")
+# the rows of +l and -l, summed and differenced, split the matrix into two
+# blocks whose thin SVDs give the whole matrix's
+shapes = [(len(recipe) * n, system.matrix[:, columns].shape[1])
+          for recipe, columns in system.parity_blocks()]
+print(f"factored as {len(shapes)} shift-parity blocks: "
+      + " and ".join(f"{r} x {c}" for r, c in shapes))
 _, s, _ = system.factorization
 eps = np.finfo(float).eps
 print(f"s_1 = {s[0]:.3e}, s_671 = {s[-1]:.3e} (ratio {s[-1] / s[0]:.2e})")

@@ -4,7 +4,8 @@ the bundled end-to-end experiments.
 All file artifacts are deterministic for a fixed configuration: floats are
 serialized with 17 significant digits, keys are emitted in a fixed order,
 and nothing time- or host-dependent is written (stage timings go to stdout
-only).
+only).  A command writes its artifacts under temporary names and renames
+them into place once all of them are written, so a failed run leaves none.
 
 Exit codes: 0 success, 2 configuration or schema error, 3 I/O error,
 4 numerical failure.
@@ -13,8 +14,10 @@ Exit codes: 0 success, 2 configuration or schema error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -62,6 +65,32 @@ def _format_value(value) -> str:
 def write_json(path, document: dict) -> None:
     """Deterministic JSON writer: insertion-ordered keys, 17-digit floats."""
     Path(path).write_text(_format_value(document) + "\n", encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _staged(out_dir: Path):
+    """Write a run's artifacts under temporary names, then rename them all
+    into place.
+
+    Yields ``stage(name)``, which returns the temporary path at which to
+    write artifact ``name``.  When the block completes, each staged file is
+    renamed onto its name with :func:`os.replace`; whatever happens, no
+    staged file is left behind, so a run that fails leaves no artifact.
+    """
+    staged = []
+
+    def stage(name: str) -> Path:
+        temporary = out_dir / f".{name}.{os.getpid()}.tmp"
+        staged.append((temporary, out_dir / name))
+        return temporary
+
+    try:
+        yield stage
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    finally:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
 
 
 #: Config-file layout: file key -> ExperimentConfig field, with a nested
@@ -225,6 +254,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"method must be quadrature or series, got {cfg.method!r}")
     if cfg.noise_level < 0:
         raise ConfigError("noise level must be >= 0")
+    if cfg.noise_seed < 0:
+        raise ConfigError("noise seed must be >= 0")
     try:
         signals.get_signal(cfg.signal)
         signals.get_window(cfg.window)
@@ -245,24 +276,23 @@ def cmd_simulate(args) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = _simulate(cfg)
-    path = out_dir / "measurement.json"
-    write_json(path, data.to_dict())
-    print(f"wrote {path}")
+    with _staged(out_dir) as stage:
+        write_json(stage("measurement.json"), data.to_dict())
+    print(f"wrote {out_dir / 'measurement.json'}")
     print(f"N={data.grid.n_frequencies} K={data.grid.n_shifts} "
           f"b_min={data.values.min():.6e} b_max={data.values.max():.6e}")
     return 0
 
 
 def _recover_from_data(cfg: ExperimentConfig, data: forward.SpectrogramData,
-                       out_dir: Path) -> dict:
+                       stage) -> dict:
     truth = signals.get_signal(cfg.signal)
     window = signals.get_window(cfg.window)
     spectrum = recovery.recover(data, window, cfg=cfg.recovery_config())
     reconstruction = synthesis.synthesize(spectrum, synthesis.default_grid())
     error = synthesis.aligned_relative_error(reconstruction, truth)
-    # every stage that can fail has run, so no partial artifact is left
-    write_json(out_dir / "spectrum.json", spectrum.to_dict())
-    synthesis.write_reconstruction_csv(out_dir / "reconstruction.csv",
+    write_json(stage("spectrum.json"), spectrum.to_dict())
+    synthesis.write_reconstruction_csv(stage("reconstruction.csv"),
                                        reconstruction, truth)
     diag = spectrum.diagnostics
     print(f"residual={diag.residual:.6e} rank={diag.rank} "
@@ -286,7 +316,8 @@ def cmd_recover(args) -> int:
         raise ConfigError(f"measurement file is not valid JSON: {exc}") from exc
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _recover_from_data(cfg, data, out_dir)
+    with _staged(out_dir) as stage:
+        _recover_from_data(cfg, data, stage)
     return 0
 
 
@@ -305,19 +336,19 @@ def cmd_experiment(args) -> int:
     data = _simulate(cfg)
     t_measure = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    metrics = _recover_from_data(cfg, data, out_dir)
-    t_recover = time.perf_counter() - t0
-    write_json(out_dir / "measurement.json", data.to_dict())
-
-    write_json(out_dir / "metrics.json", {
-        "experiment": args.name,
-        "aligned_relative_error": metrics["aligned_relative_error"],
-        "residual": metrics["residual"],
-        "eigen_gap": metrics["eigen_gap"],
-        "rank": metrics["rank"],
-        "config": cfg.to_dict(),
-    })
+    with _staged(out_dir) as stage:
+        t0 = time.perf_counter()
+        metrics = _recover_from_data(cfg, data, stage)
+        t_recover = time.perf_counter() - t0
+        write_json(stage("measurement.json"), data.to_dict())
+        write_json(stage("metrics.json"), {
+            "experiment": args.name,
+            "aligned_relative_error": metrics["aligned_relative_error"],
+            "residual": metrics["residual"],
+            "eigen_gap": metrics["eigen_gap"],
+            "rank": metrics["rank"],
+            "config": cfg.to_dict(),
+        })
     print(f"stage timings: measure {t_measure:.2f}s, recover {t_recover:.2f}s")
     print(f"artifacts in {out_dir}")
     return 0

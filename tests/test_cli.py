@@ -8,6 +8,10 @@ import pytest
 from liftphase import cli
 
 
+SMALL_GRID = {"n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
+              "delta": 3}
+
+
 def run_cli(args):
     return cli.main(args)
 
@@ -254,6 +258,25 @@ class TestExperiment:
                         "--config", str(cfg_path), "--out", str(out)])
         assert code == cli.EXIT_NUMERICAL
         assert "SVD did not converge" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch):
+        # the third of four artifacts fails to write: the two already
+        # written must not be left behind, nor any temporary file
+        real_write = cli.write_json
+
+        def fails_on_measurement(path, document):
+            if "measurement.json" in str(path):
+                raise OSError("disk full")
+            real_write(path, document)
+
+        monkeypatch.setattr(cli, "write_json", fails_on_measurement)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"grid": SMALL_GRID}))
+        out = tmp_path / "out"
+        code = run_cli(["experiment", "paper-1", "--method", "series",
+                        "--config", str(cfg_path), "--out", str(out)])
+        assert code == cli.EXIT_IO
         assert list(out.iterdir()) == []
 
     def test_noise_level_recorded_in_artifact(self, tmp_path):

@@ -172,6 +172,86 @@ class TestAssembleSystem:
                                                       rel=1e-13)
 
 
+def check_against_dense_svd(system):
+    """The cached factorization against LAPACK's SVD of the whole matrix."""
+    a = system.matrix
+    u, s, vh = system.factorization
+    s_oracle = np.linalg.svd(a, compute_uv=False)
+    scale = s_oracle[0]
+    assert s.shape == s_oracle.shape
+    assert np.all(np.diff(s) <= 0)
+    assert np.max(np.abs(s - s_oracle)) <= 1e-13 * scale
+    assert np.max(np.abs((u * s) @ vh - a)) <= 1e-13 * scale
+    eye = np.eye(s.size)
+    assert np.max(np.abs(u.T @ u - eye)) <= 1e-13
+    assert np.max(np.abs(vh @ vh.T - eye)) <= 1e-13
+    assert u.flags.c_contiguous and vh.flags.c_contiguous
+    return s
+
+
+def factored_shapes(window, grid, monkeypatch):
+    """Factor a new system and return the shapes ``thin_svd`` received."""
+    from liftphase import lifting
+
+    shapes = []
+    real_svd = lifting.thin_svd
+
+    def recording_svd(a):
+        shapes.append(a.shape)
+        return real_svd(a)
+
+    system = lp.assemble_system(window, grid)
+    with monkeypatch.context() as patch:
+        patch.setattr(lifting, "thin_svd", recording_svd)
+        check_against_dense_svd(system)
+    return system, shapes
+
+
+class TestFactorization:
+    """The shift-parity split of the factorization: the same thin SVD as the
+    whole matrix's, from two blocks when the input allows it."""
+
+    def test_paper_grid_matches_dense_svd(self, paper_system):
+        s = check_against_dense_svd(paper_system)
+        assert int((s > 1e-10 * s[0]).sum()) == 671
+        assert s[-1] / s[0] == pytest.approx(9.608e-9, rel=1e-3)
+
+    @pytest.mark.parametrize("make_window, blocks", [
+        (lambda: lp.get_window("gaussian"), [(84, 195), (63, 174)]),
+        # a complex window whose transform is real still splits
+        (chirped_window, [(84, 195), (63, 174)]),
+        # a real window that is not even has a complex transform
+        (tilted_window, [(147, 369)]),
+    ], ids=["gaussian", "chirped", "tilted"])
+    def test_window_selects_the_path(self, make_window, blocks, monkeypatch):
+        grid = lp.half_integer_grid(21, 7, 0.5 / 7.0, 3)
+        _, shapes = factored_shapes(make_window(), grid, monkeypatch)
+        assert shapes == blocks
+
+    @pytest.mark.parametrize("shifts, delta, blocks", [
+        ((-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4), 3, [(147, 369)]),
+        ((0.0,), 3, [(21, 369)]),
+        ((-0.15, -0.05, 0.05, 0.15), 3, [(42, 195), (42, 174)]),
+        # blocks of 84 x 95 and 84 x 74 would give 84 + 74 triplets, fewer
+        # than the whole 168 x 169 matrix's 168
+        (lp.half_integer_grid(21, 8, 0.04, 1).shifts, 1, [(168, 169)]),
+    ], ids=["asymmetric", "one-shift", "even-K", "wide-beside-tall"])
+    def test_shifts_select_the_path(self, window, shifts, delta, blocks,
+                                    monkeypatch):
+        frequencies = lp.half_integer_grid(21, 1, 0.1, 3).frequencies
+        grid = lp.MeasurementGrid(shifts, frequencies, delta)
+        _, shapes = factored_shapes(window, grid, monkeypatch)
+        assert shapes == blocks
+
+    def test_identical_zero_shifts_keep_rank(self, grid, window, monkeypatch):
+        # the pairs' difference rows vanish: the odd block is zero
+        zeros = lp.MeasurementGrid((0.0,) * 11, grid.frequencies, grid.delta)
+        system, shapes = factored_shapes(window, zeros, monkeypatch)
+        assert shapes == [(366, 1363), (305, 1302)]
+        _, s, _ = system.factorization
+        assert int((s > 1e-10 * s[0]).sum()) == 61
+
+
 class TestForwardLifted:
     """The lifted operator ``matrix @ pack(F)`` against the model, and
     against the row-by-row oracle of criteria 5 and 8."""
