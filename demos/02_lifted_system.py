@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Inspect the lifted linear system: banded Toeplitz blocks, the real
-measurement matrix over the real coordinates of the band, the two
-shift-parity blocks its SVD is taken in, its rank, and its agreement with
-the series measurements.
+"""Inspect the lifted linear system: its closed form as shift phases times
+window kernels, the real measurement matrix over the real coordinates of
+the band, the two shift-parity blocks its SVD is taken in, its rank, and
+its agreement with the series measurements.
 
 The quadratic measurements are linear in the outer product of the unknown
 Fourier samples; each measurement row reads a small window of that matrix,
-so only a band of it is observable and the dense matrix is tall-thin-rank
-limited by the number of measurements.
+so only a band of it is observable.  A row depends on its shift only
+through the phase exp(i pi l d) on band diagonal d, times a kernel c_d
+that depends only on the window: A = (Phi ⊗ I_N) blockdiag_d(H_d).
 """
 
 import numpy as np
@@ -16,34 +17,36 @@ import liftphase as lp
 
 window = lp.get_window("gaussian")
 grid = lp.paper_grid()
+system = lp.assemble_system(window, grid)
 
-print("== shift vectors and Toeplitz blocks ==")
-sv = lp.shift_vector(window, grid.shifts[0], grid.delta)
-print(f"shift vector length {sv.size} (= 4*delta + 1)")
-block = lp.toeplitz_block(sv, grid.n_frequencies)
-nonzero_diags = sum(1 for d in range(-60, 61)
-                    if np.any(np.diagonal(block, d) != 0))
-print(f"Toeplitz block {block.shape}, {nonzero_diags} nonzero diagonals")
+print("== closed form: shift phases x window kernels ==")
+# Phi = [1 | cos(pi l d) | sin(pi l d)], d = 1..4*delta: K x (8*delta + 1)
+phi = np.hstack([system.phases.real, system.phases.imag[:, 1:]])
+s_phi = np.linalg.svd(phi, compute_uv=False)
+print(f"Phi {phi.shape}: s_min/s_1 = {s_phi[-1] / s_phi[0]:.3f}")
+decay = np.abs(system.kernels).max(axis=1)
+decay /= decay[0]
+print("kernel decay max|c_d|/max|c_0|: " + ", ".join(
+    f"d={d}: {decay[d]:.2g}" for d in range(0, system.band + 1, grid.delta)))
+print(f"structured state before materialization: "
+      f"{system.phases.size + system.kernels.size} complex numbers")
 
 print("\n== assembled system ==")
-system = lp.assemble_system(window, grid)
 print(f"band half-width of the unknown: {system.band} (= 4*delta)")
 n, w = grid.n_frequencies, system.band
 print(f"in-band unknowns: {system.n_unknowns} "
       f"(formula N*(2w+1) - w*(w+1) = {n * (2 * w + 1) - w * (w + 1)})")
 print(f"measurements: {system.n_measurements} (= N*K)")
-print(f"structured state before materialization: "
-      f"{sum(s.size for s in system.shift_vectors)} complex numbers")
 
 print("\n== singular spectrum ==")
-# the rows of +l and -l, summed and differenced, split the matrix into two
-# blocks whose thin SVDs give the whole matrix's
-shapes = [(len(recipe) * n, system.matrix[:, columns].shape[1])
-          for recipe, columns in system.parity_blocks()]
-print(f"factored as {len(shapes)} shift-parity blocks: "
-      + " and ".join(f"{r} x {c}" for r, c in shapes))
-_, s, _ = system.factorization
+# the kernels of the even window are real, so the sums and differences of
+# the rows of +l and -l split the matrix into two blocks (cos and sin
+# columns of Phi) whose thin SVDs give the whole matrix's
 eps = np.finfo(float).eps
+imaginary = np.abs(system.kernels.imag).max() / np.abs(system.kernels).max()
+print(f"max|Im c|/max|c| = {imaginary:.1e}, so the SVD is taken in "
+      f"{'two shift-parity blocks' if imaginary <= 8 * eps else 'one block'}")
+_, s, _ = system.factorization
 print(f"s_1 = {s[0]:.3e}, s_671 = {s[-1]:.3e} (ratio {s[-1] / s[0]:.2e})")
 print(f"rank at relative tolerance 1e-10: {int((s > 1e-10 * s[0]).sum())} "
       f"of {s.size} singular values (full row rank)")

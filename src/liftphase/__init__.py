@@ -16,8 +16,7 @@ from .forward import (MeasurementGrid, NoiseSpec, SpectrogramData, measure,
                       spectrogram_series)
 from .kernels import (BandedMatrix, QuadratureSpec, integrate_complex,
                       leading_eigenvector, min_norm_least_squares)
-from .lifting import (LiftedSystem, assemble_system, shift_vector,
-                      toeplitz_block)
+from .lifting import LiftedSystem, assemble_system
 from .recovery import (RecoveredSpectrum, RecoveryConfig, RecoveryDiagnostics,
                        angular_synchronize, cached_system, recover, solve_band)
 from .signals import (Signal, Window, fourier_samples, gaussian_specimen,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import time
@@ -159,7 +158,7 @@ def _config_from_file(path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise _IOFailure(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -206,8 +205,8 @@ def _read_keys(doc: dict, table: dict, where: str) -> dict:
                 raise ConfigError(f"config section {key!r} must be an object")
             updates.update(_read_keys(value or {}, target, f"{where}{key}."))
         elif target is not None and value is not None:
-            _check_type(where + key, type(getattr(ExperimentConfig, target)),
-                        value)
+            forward.check_type(where + key,
+                               type(getattr(ExperimentConfig, target)), value)
             updates[target] = value
     return updates
 
@@ -237,16 +236,6 @@ def _check_preset(grid_doc: dict) -> None:
     if preset == "paper" and sizes:
         raise ConfigError(f"grid.preset 'paper' fixes the grid size; drop {sizes} "
                           f"or say 'custom'")
-
-
-def _check_type(key: str, expected: type, value) -> None:
-    """A config-file value must have its field's type: a string, an integer,
-    or a finite number (booleans are not numbers here)."""
-    kinds = {str: "a string", int: "an integer", float: "a finite number"}
-    allowed = (int, float) if expected is float else expected
-    if (isinstance(value, bool) or not isinstance(value, allowed)
-            or (expected is float and not math.isfinite(value))):
-        raise ConfigError(f"{key} must be {kinds[expected]}, got {value!r}")
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
@@ -312,7 +301,7 @@ def cmd_recover(args) -> int:
         data = forward.SpectrogramData.load(args.measurement)
     except OSError as exc:
         raise _IOFailure(f"cannot read measurement file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
         raise ConfigError(f"measurement file is not valid JSON: {exc}") from exc
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

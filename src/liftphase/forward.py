@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("noise level must be >= 0")
+        if self.seed < 0:
+            raise ValueError("noise seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,26 +156,49 @@ class SpectrogramData:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SpectrogramData":
+        """Inverse of :meth:`to_dict`.  A missing key, or a value that
+        :func:`check_type` rejects or the grid cannot take, raises
+        ConfigError; ``method`` may be left out and ``noise`` be null."""
         try:
+            layout, noise = doc["grid"], doc.get("noise")
+            check_type("grid.delta", int, layout["delta"])
+            check_type("method", str, doc.get("method", "file"))
             grid = MeasurementGrid(
-                tuple(float(x) for x in doc["grid"]["shifts"]),
-                tuple(float(x) for x in doc["grid"]["frequencies"]),
-                int(doc["grid"]["delta"]),
-            )
-            noise = doc.get("noise")
-            spec = None if noise is None else NoiseSpec(int(noise["seed"]),
-                                                        float(noise["level"]))
-            return cls(np.asarray(doc["b"], dtype=float), grid,
-                       provenance=str(doc.get("method", "file")), noise=spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid measurement document: {exc}") from exc
-        except GridError as exc:
+                _numbers("grid.shifts", layout["shifts"]),
+                _numbers("grid.frequencies", layout["frequencies"]),
+                layout["delta"])
+            spec = None
+            if noise is not None:
+                check_type("noise.seed", int, noise["seed"])
+                check_type("noise.level", float, noise["level"])
+                spec = NoiseSpec(noise["seed"], float(noise["level"]))
+            return cls(np.array(_numbers("b", doc["b"])), grid,
+                       provenance=doc.get("method", "file"), noise=spec)
+        except (KeyError, TypeError, ValueError, ConfigError, GridError) as exc:
             raise ConfigError(f"invalid measurement document: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "SpectrogramData":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def check_type(key: str, expected: type, value) -> None:
+    """Raise ConfigError unless a document value has its field's type: a
+    string, an integer, or a finite number within float range (booleans
+    are not numbers here)."""
+    kinds = {str: "a string", int: "an integer", float: "a finite number"}
+    allowed = (int, float) if expected is float else expected
+    if (isinstance(value, bool) or not isinstance(value, allowed)
+            or (expected is float and not abs(value) <= sys.float_info.max)):
+        raise ConfigError(f"{key} must be {kinds[expected]}, got {value!r}")
+
+
+def _numbers(key: str, values) -> tuple[float, ...]:
+    """The entries of a document list, each checked to be a number."""
+    for value in values:
+        check_type(key, float, value)
+    return tuple(float(value) for value in values)
 
 
 def check_shift(window: Window, shift: float) -> None:

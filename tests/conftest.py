@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 
 import liftphase as lp
+from liftphase.exceptions import DimensionError
 
 
 @pytest.fixture(scope="session")
@@ -96,6 +97,41 @@ def chirped_window():
                      * np.exp(3j * t), 0.5)
 
 
+def shift_vector(window, shift, delta):
+    """Oracle: lattice samples of the window transform, phase-twisted by
+    the shift.
+
+    Entry ``t + 2*delta`` holds ``exp(i pi l t) * ghat(-t/2)`` for the
+    twice-index ``t`` in ``[-2*delta, 2*delta]`` (half-integer lattice
+    points ``t/2``).  Both the phase and the argument match the series of
+    ``spectrogram_series``, whose term for lattice point ``m/2 = w + t/2``
+    carries ``ghat(w - m/2)``, so the measurement at (l, w) is one quarter
+    of the squared modulus of this vector, positioned at w, dotted with
+    the Fourier samples.
+    """
+    t = np.arange(-2 * delta, 2 * delta + 1)
+    return np.exp(1j * np.pi * shift * t) * window.fourier(-t / 2.0)
+
+
+def toeplitz_block(values, n_frequencies):
+    """Oracle: dense banded Toeplitz block of a shift vector, whose row r
+    is the vector positioned at r: entry (i, j) is ``values[j - i +
+    2*delta]`` when ``|j - i| <= 2*delta``, else zero."""
+    reach = (len(values) - 1) // 2
+    if n_frequencies < len(values):
+        raise DimensionError(
+            f"need at least {len(values)} frequencies for delta={reach // 2}"
+        )
+    block = np.zeros((n_frequencies, n_frequencies), dtype=complex)
+    for t in range(-reach, reach + 1):
+        idx = np.arange(n_frequencies - abs(t))
+        if t >= 0:
+            block[idx, idx + t] = values[t + reach]
+        else:
+            block[idx - t, idx] = values[t + reach]
+    return block
+
+
 def dense_column_oracle(window, grid, band):
     """The lifted map over complex entry coordinates, by pushing basis
     elements through the dense stacked-Toeplitz quadratic form.
@@ -105,7 +141,7 @@ def dense_column_oracle(window, grid, band):
     for every in-band entry in row-major order, so ``m @ F[rows, cols]`` is
     the measurement vector of F."""
     n = grid.n_frequencies
-    blocks = [lp.toeplitz_block(lp.shift_vector(window, l, grid.delta), n)
+    blocks = [toeplitz_block(shift_vector(window, l, grid.delta), n)
               for l in grid.shifts]
     g = np.vstack(blocks)
     rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
@@ -171,9 +207,9 @@ class OperationCounter:
         self.multiplications = 0
 
 
-def forward_lifted(system, f, counter=None):
-    """Oracle: the lifted operator applied row by row to a
-    :class:`BandWindows` matrix.
+def forward_lifted(system, window, f, counter=None):
+    """Oracle: the lifted operator of ``system``, whose window is
+    ``window``, applied row by row to a :class:`BandWindows` matrix.
 
     Each measurement row is one quarter of the local window's quadratic
     form, so the work is O(K * N * (4*delta + 1)^2) complex multiplications
@@ -186,7 +222,8 @@ def forward_lifted(system, f, counter=None):
     # window blocks depend only on the row, not the shift
     blocks = [f.window(r, 2 * delta) for r in range(n)]
     out = np.empty(system.n_measurements)
-    for k, vals in enumerate(system.shift_vectors):
+    for k, shift in enumerate(system.grid.shifts):
+        vals = shift_vector(window, shift, delta)
         for r in range(n):
             lo, block = blocks[r]
             x = vals[(lo - r) + 2 * delta:(lo - r) + 2 * delta + block.shape[0]]

@@ -16,6 +16,18 @@ def run_cli(args):
     return cli.main(args)
 
 
+@pytest.fixture(scope="module")
+def small_measurement(tmp_path_factory):
+    """A series measurement file on N = 21, K = 3, spacing 0.1, delta = 2."""
+    out = tmp_path_factory.mktemp("small")
+    config = out / "config.json"
+    config.write_text(json.dumps({"method": "series", "grid": {
+        "n_frequencies": 21, "n_shifts": 3, "shift_spacing": 0.1, "delta": 2}}))
+    assert cli.main(["simulate", "--config", str(config), "--out",
+                     str(out)]) == 0
+    return out / "measurement.json"
+
+
 class TestSimulate:
     def test_writes_schema_valid_file(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -169,6 +181,67 @@ class TestRecoverCommand:
         assert exc.value.code == cli.EXIT_CONFIG
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("path, value", [
+        (("grid", "delta"), 1.7),
+        (("grid", "delta"), True),
+        (("grid", "delta"), 2.0),
+        (("grid", "shifts", 0), False),
+        (("grid", "frequencies", 0), "-5"),
+        (("noise",), {"seed": -1, "level": 0.1}),
+        (("noise",), {"seed": 1.5, "level": 0.1}),
+        (("noise",), {"seed": True, "level": 0.1}),
+        (("noise",), {"seed": 1, "level": True}),
+        (("method",), ["x"]),
+        (("method",), None),
+        (("b", 0), True),
+        (("b", 0), 10 ** 400),
+    ], ids=["delta-float", "delta-bool", "delta-integral-float", "shift-bool",
+            "frequency-string", "seed-negative", "seed-float", "seed-bool",
+            "level-bool", "method-list", "method-null", "b-bool", "b-huge"])
+    def test_mistyped_measurement_file_exits_config(
+            self, tmp_path, capsys, small_measurement, path, value):
+        # the file's values take the config path's type rules: a truncated
+        # delta of 1.7 would recover at delta = 1, with 20 times the error
+        doc = json.loads(small_measurement.read_text())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        assert run_cli(["recover", str(bad), "--out", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert "invalid measurement document" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_well_typed_measurement_file_recovers(self, tmp_path,
+                                                  small_measurement):
+        out = tmp_path / "rec"
+        assert run_cli(["recover", str(small_measurement), "--out",
+                        str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == {"spectrum.json",
+                                                   "reconstruction.csv"}
+
+    def test_unreadable_json_exits_config(self, tmp_path, small_measurement):
+        # Python's JSON reader refuses integers of more than 4300 digits,
+        # and a file that is not UTF-8 cannot be decoded
+        text = small_measurement.read_text()
+        long = tmp_path / "long.json"
+        long.write_text(text.replace('"delta": 2', '"delta": 1' + "0" * 5000))
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        for bad in (long, binary):
+            assert run_cli(["recover", str(bad), "--out",
+                            str(tmp_path / "rec")]) == cli.EXIT_CONFIG
+        config = tmp_path / "config.json"
+        config.write_text('{"recovery": {"refine_iterations": 1' + "0" * 5000
+                          + "}}")
+        assert run_cli(["simulate", "--config", str(config), "--out",
+                        str(tmp_path / "sim")]) == cli.EXIT_CONFIG
 
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["recover", str(tmp_path / "nope.json"),
@@ -372,6 +445,7 @@ class TestConfigResolution:
         {"grid": {"preset": "bogus"}},
         {"grid": {"preset": "paper", "n_frequencies": 21}},
         {"recovery": {"max_power_iters": 1}},
+        {"noise": {"level": 10 ** 400}},
     ])
     def test_wrongly_typed_config_exits_config(self, tmp_path, document):
         cfg_path = tmp_path / "config.json"

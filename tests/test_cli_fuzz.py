@@ -1,12 +1,15 @@
-"""Property test of the CLI: any config document and flags give a documented
-exit code, never a traceback, and a failed run leaves no artifact.
+"""Property tests of the CLI: any config document and flags, and any
+measurement file, give a documented exit code, never a traceback, and a
+failed run leaves no artifact.
 
 Every document fixes a 21-frequency grid, so a run that gets as far as
 recovery costs milliseconds."""
 
 import contextlib
+import copy
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -121,5 +124,88 @@ def test_any_config_exits_documented_code(measurement_file, document, command,
         written = ({p.name for p in out.iterdir()} if out.exists() else set())
         if code == 0:
             assert written == ARTIFACTS[command[0]]
+        else:
+            assert written == set()
+
+
+#: Replacement values for a measurement-file field: wrong types, booleans,
+#: null, negatives, NaN, a number past float range, and valid values.
+REPLACEMENTS = st.sampled_from([
+    None, True, False, -1, 0, 2, 3, 1.5, -0.25, float("nan"), 10 ** 400, "x",
+    [], {}, [0.0], {"seed": 1, "level": 1e-3}])
+#: The mutated fields; an integer is a list position.
+FIELDS = st.sampled_from([
+    ("grid",), ("grid", "delta"), ("grid", "shifts"), ("grid", "shifts", 0),
+    ("grid", "frequencies", 3), ("method",), ("noise",), ("noise", "seed"),
+    ("noise", "level"), ("b",), ("b", 5)])
+MISSING = object()
+mutations = st.lists(st.tuples(FIELDS, st.one_of(REPLACEMENTS,
+                                                 st.just(MISSING))),
+                     min_size=1, max_size=3)
+
+
+def mutated(document, changes):
+    """A copy of the document with each change applied where its path still
+    leads to a container; MISSING deletes the key."""
+    doc = copy.deepcopy(document)
+    for path, value in changes:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        key = path[-1]
+        if isinstance(parent, dict):
+            if value is MISSING:
+                parent.pop(key, None)
+            else:
+                parent[key] = value
+        elif (isinstance(parent, list) and isinstance(key, int)
+              and key < len(parent) and value is not MISSING):
+            parent[key] = value
+    return doc
+
+
+def is_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= 1.7976931348623157e308)
+
+
+def is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def well_typed(doc):
+    """Every field of the measurement schema has its type: integer delta,
+    numeric shifts, frequencies and b, a string method if any, and a null
+    noise or one with a non-negative integer seed and a numeric level."""
+    grid, noise = doc.get("grid"), doc.get("noise")
+    return (isinstance(grid, dict) and is_integer(grid.get("delta"))
+            and all(isinstance(grid.get(key), list)
+                    and all(map(is_number, grid[key]))
+                    for key in ("shifts", "frequencies"))
+            and isinstance(doc.get("b"), list) and all(map(is_number, doc["b"]))
+            and isinstance(doc.get("method", ""), str)
+            and (noise is None or (isinstance(noise, dict)
+                                   and is_integer(noise.get("seed"))
+                                   and noise["seed"] >= 0
+                                   and is_number(noise.get("level")))))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(changes=mutations)
+def test_any_measurement_file_exits_documented_code(measurement_file, changes):
+    document = json.loads(measurement_file.read_text())
+    doc = mutated(document, changes)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "measurement.json"
+        path.write_text(json.dumps(doc))
+        out = Path(scratch) / "out"
+        code, stderr = run_in_process(["recover", str(path), "--out", str(out)])
+        assert code in (0, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_NUMERICAL)
+        assert "Traceback" not in stderr
+        written = ({p.name for p in out.iterdir()} if out.exists() else set())
+        if code == 0:
+            assert well_typed(doc), doc
+            assert written == ARTIFACTS["recover"]
         else:
             assert written == set()

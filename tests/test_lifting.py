@@ -6,8 +6,8 @@ from liftphase.exceptions import DimensionError, GridError
 
 from conftest import (BandWindows, OperationCounter, chirped_window,
                       dense_column_oracle, forward_lifted,
-                      random_banded_hermitian, rank_one_banded, skewed_specimen,
-                      tilted_window)
+                      random_banded_hermitian, rank_one_banded, shift_vector,
+                      skewed_specimen, tilted_window, toeplitz_block)
 
 
 def lifted(system, f):
@@ -16,48 +16,74 @@ def lifted(system, f):
 
 
 class TestShiftVector:
+    """The shift-vector oracle, and the closed form's phases and kernels
+    against it."""
+
     def test_zero_shift_is_plain_transform(self, window):
         # twice-index t reads the window transform at -t/2 (the series
         # term for lattice point w + t/2 carries ghat(w - m/2))
-        sv = lp.shift_vector(window, 0.0, 3)
+        sv = shift_vector(window, 0.0, 3)
         expected = np.array([window.fourier(-t / 2.0) for t in range(-6, 7)])
         assert np.array_equal(sv, expected)
-        assert not sv.flags.writeable
 
     def test_magnitudes_independent_of_shift(self, window):
-        a = lp.shift_vector(window, 0.0, 5)
-        b = lp.shift_vector(window, 0.21, 5)
+        a = shift_vector(window, 0.0, 5)
+        b = shift_vector(window, 0.21, 5)
         assert np.allclose(np.abs(a), np.abs(b), atol=1e-15)
 
     def test_entry_formula(self, window):
         shift = 0.5 / 11.0
-        sv = lp.shift_vector(window, shift, 7)
+        sv = shift_vector(window, shift, 7)
         # twice-index 1 is stored at 1 + 2*delta and reads ghat(-1/2)
         expected = np.exp(1j * np.pi * shift) * window.fourier(-0.5)
         assert sv[1 + 14] == pytest.approx(expected, abs=1e-15)
         # twice-indices beyond 2*delta are not stored
         assert sv.shape == (29,)
 
+    @pytest.mark.parametrize("make_window", [
+        lambda: lp.get_window("gaussian"), tilted_window, chirped_window],
+        ids=["gaussian", "tilted", "chirped"])
+    def test_closed_form_is_the_outer_product(self, make_window):
+        # phase d of shift k times kernel (d, t) is the entry (t, t + d) of
+        # conj(v) vᵀ / 4 for the oracle shift vector v, and nothing lies
+        # past the window's reach
+        window = make_window()
+        grid = lp.half_integer_grid(21, 5, 0.05, 3)
+        system = lp.assemble_system(window, grid)
+        width = 4 * grid.delta + 1
+        assert not system.phases.flags.writeable
+        assert not system.kernels.flags.writeable
+        for k, shift in enumerate(grid.shifts):
+            v = shift_vector(window, shift, grid.delta)
+            outer = 0.25 * np.outer(np.conj(v), v)
+            for d in range(width):
+                got = system.phases[k, d] * system.kernels[d]
+                want = np.concatenate([np.diagonal(outer, d), np.zeros(d)])
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.abs(outer).max()
+
     def test_shift_bound(self, window):
+        frequencies = lp.half_integer_grid(21, 1, 0.1, 3).frequencies
         with pytest.raises(GridError):
-            lp.shift_vector(window, 0.6, 3)
+            lp.assemble_system(window, lp.MeasurementGrid((0.6,), frequencies, 3))
 
 
 class TestToeplitzBlock:
+    """The dense Toeplitz oracle behind :func:`dense_column_oracle`."""
+
     def test_zero_vector(self):
-        assert np.all(lp.toeplitz_block(np.zeros(5, dtype=complex), 6) == 0)
+        assert np.all(toeplitz_block(np.zeros(5, dtype=complex), 6) == 0)
 
     def test_explicit_five_by_five_layout(self):
         m = np.array([10, 20, 30, 40, 50], dtype=complex)  # twice-index -2..2
-        block = lp.toeplitz_block(m, 5)
+        block = toeplitz_block(m, 5)
         # middle row carries the full reversed-window read-out
         assert np.array_equal(block[2], np.array([10, 20, 30, 40, 50]))
         assert np.array_equal(block[0], np.array([30, 40, 50, 0, 0]))
         assert np.array_equal(block[4], np.array([0, 0, 10, 20, 30]))
 
     def test_paper_scale_toeplitz_property(self, window):
-        sv = lp.shift_vector(window, 0.1, 7)
-        block = lp.toeplitz_block(sv, 61)
+        sv = shift_vector(window, 0.1, 7)
+        block = toeplitz_block(sv, 61)
         assert block.shape == (61, 61)
         nonzero_diags = sum(
             1 for d in range(-60, 61) if np.any(np.diagonal(block, d) != 0))
@@ -66,9 +92,9 @@ class TestToeplitzBlock:
             assert block[i, j] == block[i + 1, j + 1]
 
     def test_too_small(self, window):
-        sv = lp.shift_vector(window, 0.0, 7)
+        sv = shift_vector(window, 0.0, 7)
         with pytest.raises(DimensionError):
-            lp.toeplitz_block(sv, 28)
+            toeplitz_block(sv, 28)
 
 
 class TestBandCoordinates:
@@ -112,6 +138,21 @@ class TestAssembleSystem:
         assert lp.assemble_system(window, grid).n_unknowns == 81
         self._check_against_oracle(window, grid, 120)
 
+    @pytest.mark.parametrize("make_window", [tilted_window, chirped_window],
+                             ids=["tilted", "chirped"])
+    @pytest.mark.parametrize("shifts", [
+        (-0.14, -0.07, 0.0, 0.07, 0.14),
+        (-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4),
+        (0.05,),
+    ], ids=["symmetric", "asymmetric", "one-shift"])
+    def test_columns_match_dense_basis_oracle_non_even(self, make_window,
+                                                       shifts):
+        # complex kernels (tilted) and real kernels with a complex window
+        # (chirped), on shift sets that do and do not pair
+        frequencies = lp.half_integer_grid(9, 1, 0.1, 2).frequencies
+        grid = lp.MeasurementGrid(shifts, frequencies, 2)
+        self._check_against_oracle(make_window(), grid, 120)
+
     def test_singular_values_and_rank_match_oracle(self, small_setup, window):
         # real and entry coordinates differ by a unitary change of basis
         grid, system = small_setup
@@ -134,17 +175,25 @@ class TestAssembleSystem:
 
     def test_lazy_materialization_and_structured_memory(self, window,
                                                         monkeypatch):
-        from liftphase import lifting
+        # assembly transforms the window once and keeps only the shift
+        # phases and the window kernels; the matrix waits for first use
+        sizes = []
+        fourier = lp.Window.fourier
 
-        def forbidden(*args):
-            raise AssertionError("assembly materialized a Toeplitz block")
+        def counting(self, freq):
+            sizes.append(np.size(freq))
+            return fourier(self, freq)
 
         grid = lp.half_integer_grid(21, 5, 0.05, 3)
         with monkeypatch.context() as patch:
-            patch.setattr(lifting, "toeplitz_block", forbidden)
+            patch.setattr(lp.Window, "fourier", counting)
             system = lp.assemble_system(window, grid)
-        stored = sum(sv.size for sv in system.shift_vectors)
-        assert stored == grid.n_shifts * (4 * grid.delta + 1)
+        width = 4 * grid.delta + 1
+        assert sizes == [width]
+        stored = {name: value.shape for name, value in vars(system).items()
+                  if isinstance(value, np.ndarray)}
+        assert stored == {"phases": (grid.n_shifts, width),
+                          "kernels": (width, width)}
         assert system.matrix.shape == (system.n_measurements, system.n_unknowns)
 
     def test_pack_unpack_round_trip(self, small_setup):
@@ -261,12 +310,13 @@ class TestForwardLifted:
         f = np.zeros((grid.n_frequencies, grid.n_frequencies), dtype=complex)
         assert np.all(lifted(system, f) == 0)
 
-    def test_flattening_consistency(self, small_setup):
+    def test_flattening_consistency(self, small_setup, window):
         grid, system = small_setup
         rng = np.random.default_rng(42)
         for _ in range(100):
             f = random_banded_hermitian(grid.n_frequencies, system.band, rng)
-            structured = forward_lifted(system, BandWindows(f, system.band))
+            structured = forward_lifted(system, window,
+                                        BandWindows(f, system.band))
             flat = lifted(system, f)
             scale = np.linalg.norm(flat)
             assert np.linalg.norm(structured - flat) <= 1e-12 * scale
@@ -340,16 +390,16 @@ class TestForwardLifted:
         b = rank_one_banded(np.exp(0.9j) * f_vec, system.band)
         assert np.allclose(a, b, atol=1e-15)
 
-    def test_operation_count_bound(self, paper_system):
+    def test_operation_count_bound(self, paper_system, window):
         n = paper_system.grid.n_frequencies
         k = paper_system.grid.n_shifts
         width = 4 * paper_system.grid.delta + 1
         f = BandWindows(np.eye(n, dtype=complex), paper_system.band)
         counter = OperationCounter()
-        forward_lifted(paper_system, f, counter=counter)
+        forward_lifted(paper_system, window, f, counter=counter)
         assert counter.multiplications <= 2 * k * n * width ** 2
 
-    def test_never_materializes_dense(self, small_setup):
+    def test_never_materializes_dense(self, small_setup, window):
         # the oracle reads F only through windows of at most 4*delta + 1
         grid, system = small_setup
         widths = []
@@ -361,7 +411,7 @@ class TestForwardLifted:
                 return lo, block
 
         f = Recording(np.eye(grid.n_frequencies, dtype=complex), system.band)
-        out = forward_lifted(system, f)
+        out = forward_lifted(system, window, f)
         assert out.shape == (system.n_measurements,)
         assert max(widths) == 4 * grid.delta + 1 < grid.n_frequencies
 

@@ -24,17 +24,17 @@ class TestSolveBand:
         assert np.all(f == 0)
         assert diag.residual == 0.0
 
-    def test_rank_one_forward_residual(self, small_setup):
+    def test_rank_one_forward_residual(self, small_setup, window):
         # the matrix is rank-deficient, so the solution is only pinned up to
         # null-space components; the forward image must still reproduce b
         grid, system = small_setup
         rng = np.random.default_rng(21)
         vec = random_lattice_vector(grid.n_frequencies, rng)
         truth = rank_one_banded(vec, system.band)
-        b = forward_lifted(system, BandWindows(truth, system.band))
+        b = forward_lifted(system, window, BandWindows(truth, system.band))
         data = lp.SpectrogramData(b, grid, provenance="series")
         f, diag = lp.solve_band(system, data)
-        reproduced = forward_lifted(system, BandWindows(f, system.band))
+        reproduced = forward_lifted(system, window, BandWindows(f, system.band))
         assert np.linalg.norm(reproduced - b) / np.linalg.norm(b) <= 1e-8
         assert diag.residual <= 1e-8
 
@@ -136,7 +136,7 @@ class TestRefinement:
     def _check_against_reference(grid, system, window, cfg, noise):
         rng = np.random.default_rng(0)
         vec = random_lattice_vector(grid.n_frequencies, rng)
-        clean = forward_lifted(system, BandWindows(
+        clean = forward_lifted(system, window, BandWindows(
             rank_one_banded(vec, system.band), system.band))
         b = clean * (1.0 + rng.uniform(-noise, noise, clean.size))
         expected, residual = pinv_eigh_reference(window, grid, b, cfg)
