@@ -150,10 +150,9 @@ class LiftedSystem:
         (diagonal, upper), n = index, self.grid.n_frequencies
         cut = n + upper.shape[1]
         kernel = np.append((phase[:, None] * self.kernels).ravel(), 0.0)
-        # every index is in range; "clip" lets take write into a strided out
-        np.take(kernel.real, diagonal, out=out[:, :n], mode="clip")
-        np.take(_SQRT2 * kernel.real, upper, out=out[:, n:cut], mode="clip")
-        np.take(_SQRT2 * kernel.imag, upper, out=out[:, cut:], mode="clip")
+        np.take(kernel.real, diagonal, out=out[:, :n])
+        np.take(_SQRT2 * kernel.real, upper, out=out[:, n:cut])
+        np.take(_SQRT2 * kernel.imag, upper, out=out[:, cut:])
 
     @property
     def matrix(self) -> np.ndarray:
