@@ -32,6 +32,8 @@ __all__ = ["main", "ExperimentConfig"]
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+#: Largest dense lifted matrix, in bytes, that a config file may ask for.
+MATRIX_BUDGET = 2 * 2 ** 30
 
 EXPERIMENT_PRESETS = {
     "paper-1": {"signal": "gaussian"},
@@ -251,7 +253,22 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
     cfg.recovery_config()
+    _check_matrix_budget(cfg.n_frequencies, cfg.n_shifts, cfg.delta)
     cfg.grid()
+
+
+def _check_matrix_budget(n: int, n_shifts: int, delta: int) -> None:
+    """Raise ConfigError if a grid's dense lifted matrix, K*N rows by
+    N + 2p float64 columns with p = sum_{d=1}^{4 delta} max(N - d, 0)
+    upper-band entries, would exceed ``MATRIX_BUDGET``.  The size is
+    computed from the integers alone, before anything is allocated."""
+    band = min(4 * delta, n - 1)
+    upper = band * n - band * (band + 1) // 2 if band > 0 else 0
+    if 8 * n_shifts * n * (n + 2 * upper) > MATRIX_BUDGET:
+        raise ConfigError(
+            f"the lifted matrix of a {n}-frequency, {n_shifts}-shift grid at "
+            f"delta={delta} would take more than the {MATRIX_BUDGET} bytes "
+            f"allowed")
 
 
 def _simulate(cfg: ExperimentConfig) -> forward.SpectrogramData:
@@ -285,6 +302,7 @@ def _recover_from_data(cfg: ExperimentConfig, data: forward.SpectrogramData,
                                        reconstruction, truth)
     diag = spectrum.diagnostics
     print(f"residual={diag.residual:.6e} rank={diag.rank} "
+          f"refine_sweeps={diag.refine_sweeps} "
           f"eigen_gap={'n/a' if diag.eigen_gap is None else f'{diag.eigen_gap:.4f}'} "
           f"aligned_error={error:.6e}")
     return {
@@ -292,6 +310,7 @@ def _recover_from_data(cfg: ExperimentConfig, data: forward.SpectrogramData,
         "residual": diag.residual,
         "eigen_gap": diag.eigen_gap,
         "rank": diag.rank,
+        "refine_sweeps": diag.refine_sweeps,
     }
 
 
@@ -303,6 +322,8 @@ def cmd_recover(args) -> int:
         raise _IOFailure(f"cannot read measurement file: {exc}") from exc
     except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
         raise ConfigError(f"measurement file is not valid JSON: {exc}") from exc
+    grid = data.grid
+    _check_matrix_budget(grid.n_frequencies, grid.n_shifts, grid.delta)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _staged(out_dir) as stage:
@@ -336,6 +357,7 @@ def cmd_experiment(args) -> int:
             "residual": metrics["residual"],
             "eigen_gap": metrics["eigen_gap"],
             "rank": metrics["rank"],
+            "refine_sweeps": metrics["refine_sweeps"],
             "config": cfg.to_dict(),
         })
     print(f"stage timings: measure {t_measure:.2f}s, recover {t_recover:.2f}s")

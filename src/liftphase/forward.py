@@ -156,11 +156,13 @@ class SpectrogramData:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SpectrogramData":
-        """Inverse of :meth:`to_dict`.  A missing key, or a value that
-        :func:`check_type` rejects or the grid cannot take, raises
+        """Inverse of :meth:`to_dict`.  A missing or unknown key, or a value
+        that :func:`check_type` rejects or the grid cannot take, raises
         ConfigError; ``method`` may be left out and ``noise`` be null."""
         try:
+            _known_keys("", doc, ("grid", "method", "noise", "b"))
             layout, noise = doc["grid"], doc.get("noise")
+            _known_keys("grid.", layout, ("shifts", "frequencies", "delta"))
             check_type("grid.delta", int, layout["delta"])
             check_type("method", str, doc.get("method", "file"))
             grid = MeasurementGrid(
@@ -169,6 +171,7 @@ class SpectrogramData:
                 layout["delta"])
             spec = None
             if noise is not None:
+                _known_keys("noise.", noise, ("seed", "level"))
                 check_type("noise.seed", int, noise["seed"])
                 check_type("noise.level", float, noise["level"])
                 spec = NoiseSpec(noise["seed"], float(noise["level"]))
@@ -192,6 +195,15 @@ def check_type(key: str, expected: type, value) -> None:
     if (isinstance(value, bool) or not isinstance(value, allowed)
             or (expected is float and not abs(value) <= sys.float_info.max)):
         raise ConfigError(f"{key} must be {kinds[expected]}, got {value!r}")
+
+
+def _known_keys(where: str, section, keys: tuple[str, ...]) -> None:
+    """Raise ConfigError naming the first key of a document section (an
+    object; anything else is left to the caller) that ``keys`` does not
+    list."""
+    for key in section if isinstance(section, dict) else ():
+        if key not in keys:
+            raise ConfigError(f"unknown key {where + key!r}")
 
 
 def _numbers(key: str, values) -> tuple[float, ...]:

@@ -7,7 +7,10 @@ The measurement operator is rank-deficient, so that solution is only one
 representative of the solution set; ``recover`` optionally refines it by
 alternating projections between the solution set and the rank-one
 positive-semidefinite matrices, which picks the physically meaningful
-representative and markedly improves the recovered magnitudes.
+representative and markedly improves the recovered magnitudes.  It runs
+at most ``refine_iterations`` sweeps, stopping on the gap plateau: after
+the sweep in which the rank-one iterate's distance from the solution set
+falls by less than 1%.
 ``angular_synchronize`` then reads magnitudes off the diagonal and phases
 off the leading eigenvector of the phase-normalized band matrix, and takes
 the eigen-gap from that matrix's dense spectrum.
@@ -42,6 +45,9 @@ __all__ = [
 #: Relative magnitude below which a band entry carries no phase information
 #: into synchronization.
 MAGNITUDE_FLOOR = 1e-6
+#: Refinement stops after a sweep that leaves the rank-one iterate farther
+#: from the solution set than this fraction of the previous sweep's distance.
+PLATEAU_RATIO = 0.99
 #: Residual tolerance and iteration budget of the synchronization power
 #: iteration.
 POWER_TOL = 1e-10
@@ -53,10 +59,11 @@ class RecoveryConfig:
     """Tolerances for the inversion pipeline.
 
     ``rank_tol`` is the relative singular-value cutoff of the least-squares
-    solve.  ``refine_iterations`` counts alternating-projection sweeps
+    solve.  ``refine_iterations`` caps the alternating-projection sweeps
     toward the rank-one positive-semidefinite representative of the
-    solution set; zero disables refinement and keeps the plain minimum-norm
-    solution.
+    solution set: at most that many sweeps, stopping on the gap plateau
+    (see ``PLATEAU_RATIO``).  Zero disables refinement and keeps the plain
+    minimum-norm solution.
     """
 
     rank_tol: float = 1e-10
@@ -76,6 +83,7 @@ class RecoveryDiagnostics:
     rank: int
     clamped_fraction: float = 0.0
     refine_residual: float | None = None
+    refine_sweeps: int = 0
 
 
 @dataclass(eq=False)
@@ -162,28 +170,43 @@ def _rank_one_part(system: LiftedSystem, x: np.ndarray) -> np.ndarray:
 
 
 def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
-                     cfg: RecoveryConfig) -> tuple[np.ndarray, float]:
+                     cfg: RecoveryConfig) -> tuple[np.ndarray, float, int]:
     """Alternate between the least-squares solution set and the banded
-    rank-one positive-semidefinite cone.
+    rank-one positive-semidefinite cone, for at most
+    ``cfg.refine_iterations`` sweeps, stopping on the gap plateau.
 
-    Each sweep replaces the iterate by its dominant rank-one part and then
-    moves back onto the solution set by subtracting the minimum-norm
-    correction of the measurement mismatch, on the singular triplets that
-    the solve keeps.  The final iterate is the band of the rank-one part,
-    whose diagonal and phases feed synchronization.  All of it but the
-    N x N eigensolves is real arithmetic in the system's real coordinates.
+    Each sweep replaces the iterate by its dominant rank-one part y and
+    then moves back onto the solution set by subtracting the minimum-norm
+    correction ``vtᵀ g``, ``g = (uᵀ (A y - b)) / s``, of the measurement
+    mismatch, on the singular triplets that the solve keeps.  ``vt`` has
+    orthonormal rows, so ``|g|`` is the distance of y from the solution
+    set; refinement stops after the sweep in which it exceeds
+    ``PLATEAU_RATIO`` times the previous sweep's.  The mismatch is taken
+    against the matrix, not as ``vt y - (uᵀ b) / s``: that form puts the
+    solution set where the factors' backward error, amplified by s_1/s_min,
+    moves it with the BLAS thread count.  The final iterate is the band of
+    the rank-one part, whose diagonal and phases feed synchronization.  All
+    of it but the N x N eigensolves is real arithmetic in the system's real
+    coordinates.
+
+    Returns the refined band, its relative residual and the sweep count.
     """
     u, s, vt = truncate(system.factorization, cfg.rank_tol)
     a = system.matrix
 
-    x = system.pack(f)
-    for _ in range(cfg.refine_iterations):
+    x, sweeps, previous = system.pack(f), 0, np.inf
+    for sweeps in range(1, cfg.refine_iterations + 1):
         y = system.pack(_rank_one_part(system, x))
-        x = y - vt.T @ ((u.T @ (a @ y - b)) / s)
+        g = (u.T @ (a @ y - b)) / s
+        x = y - vt.T @ g
+        gap = float(np.linalg.norm(g))
+        if gap > PLATEAU_RATIO * previous:
+            break
+        previous = gap
     refined = system.restrict(_rank_one_part(system, x))
     resid = float(np.linalg.norm(a @ system.pack(refined) - b))
     bnorm = float(np.linalg.norm(b))
-    return refined, (resid / bnorm if bnorm > 0 else 0.0)
+    return refined, (resid / bnorm if bnorm > 0 else 0.0), sweeps
 
 
 def angular_synchronize(f: np.ndarray, frequencies=None) -> RecoveredSpectrum:
@@ -280,8 +303,8 @@ def recover(data: SpectrogramData, window: Window,
     system = cached_system(window, grid)
     f, diagnostics = solve_band(system, data, cfg)
     if cfg.refine_iterations > 0:
-        f, refine_residual = _refine_rank_one(system, data.values, f, cfg)
-        diagnostics.refine_residual = refine_residual
+        f, diagnostics.refine_residual, diagnostics.refine_sweeps = \
+            _refine_rank_one(system, data.values, f, cfg)
     spectrum = angular_synchronize(f, frequencies=freqs)
     spectrum.f_hat = spectrum.f_hat * 2.0 ** k
     diagnostics.eigen_gap = spectrum.diagnostics.eigen_gap

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from liftphase import cli
+from liftphase.exceptions import ConfigError
 
 
 SMALL_GRID = {"n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
@@ -218,6 +219,31 @@ class TestRecoverCommand:
         assert "invalid measurement document" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("changes, key", [
+        ({("extra",): 1}, "extra"),
+        ({("grid", "detla"): 5}, "grid.detla"),
+        ({("grid", "detla"): 5, ("extra",): 1}, "extra"),
+        ({("noise",): {"seed": 1, "level": 1e-3, "sigma": 2}}, "noise.sigma"),
+    ], ids=["top-level", "grid", "both", "noise"])
+    def test_unknown_measurement_key_exits_config(
+            self, tmp_path, capsys, small_measurement, changes, key):
+        # a misspelt key in a hand-edited file must not be dropped silently
+        doc = json.loads(small_measurement.read_text())
+        for path, value in changes.items():
+            *parents, last = path
+            target = doc
+            for part in parents:
+                target = target[part]
+            target[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        assert run_cli(["recover", str(bad), "--out", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_well_typed_measurement_file_recovers(self, tmp_path,
                                                   small_measurement):
         out = tmp_path / "rec"
@@ -394,6 +420,56 @@ class TestConfigResolution:
         assert run_cli(["simulate", "--config", str(cfg_path),
                         "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [
+        {"n_frequencies": 10 ** 31 + 1},
+        {"n_frequencies": 1001},
+        {"n_shifts": 10 ** 9},
+    ], ids=["n-1e31", "n-1001", "k-1e9"])
+    def test_grid_past_the_matrix_budget_exits_config(
+            self, tmp_path, capsys, monkeypatch, grid):
+        # rejected from the sizes alone: building the grid would allocate
+        def forbidden(*args):
+            raise AssertionError("a grid past the budget was built")
+
+        monkeypatch.setattr(cli.forward, "half_integer_grid", forbidden)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"grid": grid}))
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--method", "series", "--config",
+                        str(cfg_path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "lifted matrix" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fixture", ["paper_system", "small_setup"])
+    def test_matrix_budget_counts_the_dense_matrix(self, request, monkeypatch,
+                                                   fixture):
+        system = request.getfixturevalue(fixture)
+        system = system[1] if isinstance(system, tuple) else system
+        grid = system.grid
+        sizes = (grid.n_frequencies, grid.n_shifts, grid.delta)
+        size = 8 * system.n_measurements * system.n_unknowns
+        monkeypatch.setattr(cli, "MATRIX_BUDGET", size)
+        cli._check_matrix_budget(*sizes)
+        monkeypatch.setattr(cli, "MATRIX_BUDGET", size - 1)
+        with pytest.raises(ConfigError, match="lifted matrix"):
+            cli._check_matrix_budget(*sizes)
+
+    def test_measurement_grid_past_the_budget_exits_config(
+            self, tmp_path, capsys, monkeypatch, small_measurement):
+        # a measurement file lists its grid, so recover checks that grid
+        from liftphase import recovery
+
+        def forbidden(*args):
+            raise AssertionError("a system past the budget was assembled")
+
+        monkeypatch.setattr(recovery, "assemble_system", forbidden)
+        monkeypatch.setattr(cli, "MATRIX_BUDGET", 8 * 3 * 21 * 21)
+        out = tmp_path / "out"
+        assert run_cli(["recover", str(small_measurement), "--out",
+                        str(out)]) == cli.EXIT_CONFIG
+        assert "lifted matrix" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("preset", [None, "custom"])
     def test_grid_sizes_set_the_grid(self, tmp_path, preset):

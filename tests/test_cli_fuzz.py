@@ -133,11 +133,17 @@ def test_any_config_exits_documented_code(measurement_file, document, command,
 REPLACEMENTS = st.sampled_from([
     None, True, False, -1, 0, 2, 3, 1.5, -0.25, float("nan"), 10 ** 400, "x",
     [], {}, [0.0], {"seed": 1, "level": 1e-3}])
-#: The mutated fields; an integer is a list position.
+#: The mutated fields; an integer is a list position.  ``extra``,
+#: ``grid.detla`` and ``noise.sigma`` are stray keys.
 FIELDS = st.sampled_from([
     ("grid",), ("grid", "delta"), ("grid", "shifts"), ("grid", "shifts", 0),
     ("grid", "frequencies", 3), ("method",), ("noise",), ("noise", "seed"),
-    ("noise", "level"), ("b",), ("b", 5)])
+    ("noise", "level"), ("b",), ("b", 5), ("extra",), ("grid", "detla"),
+    ("noise", "sigma")])
+#: The keys of the measurement schema, per section.
+SCHEMA = {"": {"grid", "method", "noise", "b"},
+          "grid": {"shifts", "frequencies", "delta"},
+          "noise": {"seed", "level"}}
 MISSING = object()
 mutations = st.lists(st.tuples(FIELDS, st.one_of(REPLACEMENTS,
                                                  st.just(MISSING))),
@@ -176,15 +182,19 @@ def is_integer(value):
 def well_typed(doc):
     """Every field of the measurement schema has its type: integer delta,
     numeric shifts, frequencies and b, a string method if any, and a null
-    noise or one with a non-negative integer seed and a numeric level."""
+    noise or one with a non-negative integer seed and a numeric level; and
+    no section holds a key the schema does not list."""
     grid, noise = doc.get("grid"), doc.get("noise")
-    return (isinstance(grid, dict) and is_integer(grid.get("delta"))
+    return (set(doc) <= SCHEMA[""]
+            and isinstance(grid, dict) and set(grid) <= SCHEMA["grid"]
+            and is_integer(grid.get("delta"))
             and all(isinstance(grid.get(key), list)
                     and all(map(is_number, grid[key]))
                     for key in ("shifts", "frequencies"))
             and isinstance(doc.get("b"), list) and all(map(is_number, doc["b"]))
             and isinstance(doc.get("method", ""), str)
             and (noise is None or (isinstance(noise, dict)
+                                   and set(noise) <= SCHEMA["noise"]
                                    and is_integer(noise.get("seed"))
                                    and noise["seed"] >= 0
                                    and is_number(noise.get("level")))))
