@@ -32,8 +32,6 @@ __all__ = ["main", "ExperimentConfig"]
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-#: Largest dense lifted matrix, in bytes, that a config file may ask for.
-MATRIX_BUDGET = 2 * 2 ** 30
 
 EXPERIMENT_PRESETS = {
     "paper-1": {"signal": "gaussian"},
@@ -253,22 +251,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
     cfg.recovery_config()
-    _check_matrix_budget(cfg.n_frequencies, cfg.n_shifts, cfg.delta)
+    lifting.check_matrix_budget(cfg.n_frequencies, cfg.n_shifts, cfg.delta)
     cfg.grid()
-
-
-def _check_matrix_budget(n: int, n_shifts: int, delta: int) -> None:
-    """Raise ConfigError if a grid's dense lifted matrix, K*N rows by
-    N + 2p float64 columns with p = sum_{d=1}^{4 delta} max(N - d, 0)
-    upper-band entries, would exceed ``MATRIX_BUDGET``.  The size is
-    computed from the integers alone, before anything is allocated."""
-    band = min(4 * delta, n - 1)
-    upper = band * n - band * (band + 1) // 2 if band > 0 else 0
-    if 8 * n_shifts * n * (n + 2 * upper) > MATRIX_BUDGET:
-        raise ConfigError(
-            f"the lifted matrix of a {n}-frequency, {n_shifts}-shift grid at "
-            f"delta={delta} would take more than the {MATRIX_BUDGET} bytes "
-            f"allowed")
 
 
 def _simulate(cfg: ExperimentConfig) -> forward.SpectrogramData:
@@ -323,7 +307,7 @@ def cmd_recover(args) -> int:
     except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
         raise ConfigError(f"measurement file is not valid JSON: {exc}") from exc
     grid = data.grid
-    _check_matrix_budget(grid.n_frequencies, grid.n_shifts, grid.delta)
+    lifting.check_matrix_budget(grid.n_frequencies, grid.n_shifts, grid.delta)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _staged(out_dir) as stage:

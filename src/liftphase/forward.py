@@ -26,6 +26,7 @@ __all__ = [
     "SpectrogramData",
     "paper_grid",
     "half_integer_grid",
+    "is_half_integer_lattice",
     "spectrogram_quadrature",
     "spectrogram_series",
     "measure",
@@ -65,17 +66,17 @@ class MeasurementGrid:
         """The integer n with frequencies (j - 2n - 1)/2, j = 1..N."""
         return (self.n_frequencies - 1) // 4
 
-    def is_half_integer_lattice(self) -> bool:
-        """True when the frequencies are the contiguous half-step lattice."""
-        n = self.n_frequencies
-        if n % 4 != 1:
-            return False
-        expected = (np.arange(1, n + 1) - 2 * self.half_range - 1) / 2.0
-        return bool(np.array_equal(np.asarray(self.frequencies), expected))
-
     @property
     def key(self) -> tuple:
         return (self.shifts, self.frequencies, self.delta)
+
+
+def is_half_integer_lattice(frequencies) -> bool:
+    """True when the frequencies are the half-step lattice (j - 2n - 1)/2,
+    j = 1..4n+1, exactly."""
+    n = len(frequencies)
+    expected = (np.arange(1, n + 1) - (n + 1) // 2) / 2.0
+    return n % 4 == 1 and bool(np.array_equal(frequencies, expected))
 
 
 def half_integer_grid(n_frequencies: int, n_shifts: int, shift_spacing: float,

@@ -11,8 +11,9 @@ weight on the entry F[i, i + d] of band diagonal d, at t = i - r, is
 a shift phase times a window kernel that does not depend on the shift:
 A = (Phi ⊗ I_N) blockdiag_d(H_d), where the shift-independent map H_d
 slides the kernel c_d along band diagonal d of F.  :class:`LiftedSystem`
-materializes A from the phases and the kernels as a real matrix over real
-coordinates of the Hermitian band, and factors it.
+writes row blocks of A, a real matrix over real coordinates of the
+Hermitian band, from the phases and the kernels: the whole matrix, and the
+blocks that it factors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import threading
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import ConfigError, DimensionError
 from .forward import MeasurementGrid, check_shift
 from .kernels import thin_svd
 from .signals import Window
@@ -32,6 +33,8 @@ _SQRT2 = np.sqrt(2.0)
 #: Imaginary parts of the window kernels at most this times their largest
 #: modulus lie inside the SVD's own backward error.
 _SPLIT_FLOOR = 8 * np.finfo(float).eps
+#: Largest dense lifted matrix, in bytes, that a config file may ask for.
+MATRIX_BUDGET = 2 * 2 ** 30
 
 
 def require_band(n_frequencies: int, delta: int) -> None:
@@ -40,6 +43,20 @@ def require_band(n_frequencies: int, delta: int) -> None:
         raise DimensionError(
             f"{n_frequencies} frequencies are too few for delta={delta}: "
             f"the lifted system needs at least {4 * delta + 1}")
+
+
+def check_matrix_budget(n: int, n_shifts: int, delta: int) -> None:
+    """Raise ConfigError if a grid's dense lifted matrix, K*N rows by
+    N + 2p float64 columns with p = sum_{d=1}^{4 delta} max(N - d, 0)
+    upper-band entries, would exceed ``MATRIX_BUDGET``.  The size is
+    computed from the integers alone, before anything is allocated."""
+    band = min(4 * delta, n - 1)
+    upper = band * n - band * (band + 1) // 2 if band > 0 else 0
+    if 8 * n_shifts * n * (n + 2 * upper) > MATRIX_BUDGET:
+        raise ConfigError(
+            f"the lifted matrix of a {n}-frequency, {n_shifts}-shift grid at "
+            f"delta={delta} would take more than the {MATRIX_BUDGET} bytes "
+            f"allowed")
 
 
 class LiftedSystem:
@@ -55,10 +72,11 @@ class LiftedSystem:
     order.  The coordinates are an isometry (``x . y`` is the Frobenius
     inner product of the two matrices) and differ from the complex entry
     coordinates by a unitary change of basis, so the real measurement
-    matrix has the singular values of the complex one.  It is built lazily
-    on first access, and its thin SVD is cached for repeated solves.  Both
-    are computed under a per-system lock, so concurrent first accesses
-    compute each once.
+    matrix has the singular values of the complex one.  The matrix and its
+    thin SVD are each computed from the phases and the kernels on first
+    access and cached for repeated solves; the SVD does not read the
+    matrix.  Both are computed under a per-system lock, so concurrent first
+    accesses compute each once.
 
     The thin SVD is taken in two shift-parity blocks when the operator
     splits.  The sum of the rows of +l and -l over sqrt(2) carries
@@ -71,7 +89,8 @@ class LiftedSystem:
     about a quarter of the flops each, give the whole matrix's: ``u = Tᵀ
     blockdiag(u_even, u_odd)``.  The split is taken when the shifts equal
     their negated reverse and ``max|Im c| <= _SPLIT_FLOOR * max|c|``; a real
-    window that is not even, or an asymmetric shift set, keeps one block.
+    window that is not even, or an asymmetric shift set, takes one block,
+    that of T = I_K, through the same builder.
     """
 
     def __init__(self, window: Window, grid: MeasurementGrid):
@@ -92,8 +111,7 @@ class LiftedSystem:
         self.upper = np.nonzero((offsets < 0) & (offsets >= -self.band))
         self._matrix: np.ndarray | None = None
         self._factorization = None
-        # reentrant: the one-block factorization reads the matrix under it
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     @property
     def n_measurements(self) -> int:
@@ -133,42 +151,45 @@ class LiftedSystem:
         dense[self.upper[::-1]] = np.conj(upper)
         return dense
 
-    def _kernel_index(self) -> list[np.ndarray]:
-        """Per row, the index of each diagonal (N x N) and upper-band (N x p)
-        entry's weight in the kernels, flattened and padded with one zero."""
+    def _block(self, transform: np.ndarray, columns: slice) -> np.ndarray:
+        """Rows of the operator after the shift transform ``transform``: for
+        each row of ``transform @ phases``, the N rows of that phase row
+        times the kernels, in the layout of :meth:`pack`, restricted to
+        ``columns``.  The slice starts and stops on the boundaries between
+        the diagonal, Re-band and Im-band coordinates."""
         n, width = self.grid.n_frequencies, self.band + 1
-        index = []
+        index = []  # per row, each entry's weight in the padded kernels
         for i, j in ((np.arange(n),) * 2, self.upper):
             t = i - np.arange(n)[:, None] + 2 * self.grid.delta
             index.append(np.where((t >= 0) & (t + j - i < width),
                                   (j - i) * width + t, width * width))
-        return index
-
-    def _rows(self, phase: np.ndarray, index: list, out: np.ndarray) -> None:
-        """Write into ``out`` (N x n_unknowns) the rows, in the layout of
-        :meth:`pack`, of ``phase`` (one per band diagonal) times the kernels."""
-        (diagonal, upper), n = index, self.grid.n_frequencies
-        cut = n + upper.shape[1]
-        kernel = np.append((phase[:, None] * self.kernels).ravel(), 0.0)
-        np.take(kernel.real, diagonal, out=out[:, :n])
-        np.take(_SQRT2 * kernel.real, upper, out=out[:, n:cut])
-        np.take(_SQRT2 * kernel.imag, upper, out=out[:, cut:])
+        diagonal, upper = index
+        cut = n + upper.shape[1]  # diagonal and Re-band | Im-band
+        start, stop, _ = columns.indices(self.n_unknowns)
+        block = np.empty((len(transform) * n, stop - start))
+        for rows, phase in zip(np.split(block, len(transform)),
+                               transform @ self.phases):
+            kernel = np.append((phase[:, None] * self.kernels).ravel(), 0.0)
+            for lo, source, where in ((0, kernel.real, diagonal),
+                                      (n, _SQRT2 * kernel.real, upper),
+                                      (cut, _SQRT2 * kernel.imag, upper)):
+                hi = lo + where.shape[1]
+                if start <= lo and hi <= stop:
+                    np.take(source, where, out=rows[:, lo - start:hi - start])
+        return block
 
     @property
     def matrix(self) -> np.ndarray:
         """Real measurement matrix (n_measurements x n_unknowns).
 
         Row (k, r) holds ``exp(i pi l_k d) c_d[i - r]`` at entry (i, i + d)
-        of the band, in the real coordinates of :meth:`pack`.  The matrix
-        is written one shift's N rows at a time.
+        of the band, in the real coordinates of :meth:`pack`: the one row
+        block of the identity shift transform.
         """
         with self._lock:
             if self._matrix is None:
-                n, index = self.grid.n_frequencies, self._kernel_index()
-                m = np.empty((self.n_measurements, self.n_unknowns))
-                for k, phase in enumerate(self.phases):
-                    self._rows(phase, index, m[k * n:(k + 1) * n])
-                self._matrix = m
+                self._matrix = self._block(np.eye(self.grid.n_shifts),
+                                           slice(None))
             return self._matrix
 
     @property
@@ -181,16 +202,16 @@ class LiftedSystem:
                 self._factorization = self._factor()
             return self._factorization
 
-    def _parity_split(self) -> list[tuple[np.ndarray, slice]] | None:
-        """``[(T_even, columns), (T_odd, columns)]``, the two row blocks of
-        the orthogonal shift transform T and the columns their rows touch,
-        when the operator splits (see the class docstring); else None."""
+    def _parity_split(self) -> list[tuple[np.ndarray, slice]]:
+        """The row blocks of the orthogonal shift transform T and the columns
+        their rows touch: ``[(T_even, columns), (T_odd, columns)]`` when the
+        operator splits (see the class docstring), else ``[(I_K, all)]``."""
         shifts, n, c = self.grid.shifts, self.grid.n_frequencies, self.kernels
         k_shifts, half = len(shifts), len(shifts) // 2
+        eye = np.eye(k_shifts)
         if (k_shifts < 2 or shifts != tuple(-l for l in reversed(shifts))
                 or np.abs(c.imag).max() > _SPLIT_FLOOR * np.abs(c).max()):
-            return None
-        eye = np.eye(k_shifts)
+            return [(eye, slice(None))]
         even = np.vstack([(eye + eye[::-1])[:half] / _SQRT2,
                           eye[half:half + k_shifts % 2]])
         odd = (eye - eye[::-1])[:half] / _SQRT2
@@ -198,25 +219,16 @@ class LiftedSystem:
         # a wide block beside a tall one would drop zero singular triplets
         if min(len(even) * n, cut) + min(len(odd) * n, self.n_unknowns - cut) \
                 != min(self.n_measurements, self.n_unknowns):
-            return None
+            return [(eye, slice(None))]
         return [(even, slice(0, cut)), (odd, slice(cut, None))]
 
     def _factor(self):
-        """Thin SVD of the matrix, from its parity blocks' when it splits:
-        ``u = Tᵀ blockdiag(u_b)``, each ``vh_b`` in its block's columns, and
-        the triplets merged by descending singular value."""
-        split = self._parity_split()
-        if split is None:
-            return thin_svd(self.matrix)
-        n, index = self.grid.n_frequencies, self._kernel_index()
-        rows, factors = np.empty((n, self.n_unknowns)), []
-        for transform, columns in split:
-            block = np.empty((len(transform) * n, rows[:, columns].shape[1]))
-            for i, combined in enumerate(transform @ self.phases):
-                self._rows(combined, index, rows)
-                block[i * n:(i + 1) * n] = rows[:, columns]
-            factors.append(thin_svd(block))
-            del block  # not held through the merge, where memory peaks
+        """Thin SVD of the matrix from its row blocks' (see
+        :meth:`_parity_split`): ``u = Tᵀ blockdiag(u_b)``, each ``vh_b`` in
+        its block's columns, and the triplets merged by descending singular
+        value.  No block is held through the merge, where memory peaks."""
+        split, n = self._parity_split(), self.grid.n_frequencies
+        factors = [thin_svd(self._block(*block)) for block in split]
         s = np.concatenate([sb for _, sb, _ in factors])
         order = np.argsort(-s, kind="stable")
         position = np.argsort(order)  # the inverse permutation

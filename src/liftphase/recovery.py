@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import (ConfigError, DegenerateSpectrum, DimensionError,
                          GridError)
-from .forward import MeasurementGrid, SpectrogramData
+from .forward import MeasurementGrid, SpectrogramData, is_half_integer_lattice
 from .kernels import (BandedMatrix, leading_eigenvector, min_norm_least_squares,
                       truncate)
 from .lifting import LiftedSystem, assemble_system
@@ -146,9 +146,12 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
     cfg = cfg or RecoveryConfig()
     if data.values.shape != (system.n_measurements,):
         raise DimensionError("measurement vector does not match the system")
+    # factored before the matrix is built, so the factorization's peak
+    # does not also hold the matrix
+    factorization = system.factorization
     x, residual, rank = min_norm_least_squares(
         system.matrix, data.values, rank_tol=cfg.rank_tol,
-        factorization=system.factorization)
+        factorization=factorization)
     bnorm = float(np.linalg.norm(data.values))
     rel_residual = residual / bnorm if bnorm > 0 else 0.0
     f = system.unpack(x)
@@ -270,24 +273,20 @@ def angular_synchronize(f: np.ndarray, frequencies=None) -> RecoveredSpectrum:
 
 
 def recover(data: SpectrogramData, window: Window,
-            grid: MeasurementGrid | None = None,
             cfg: RecoveryConfig | None = None) -> RecoveredSpectrum:
     """Full inversion: assemble (cached), solve, refine, synchronize.
 
-    The grid must be the half-integer lattice, which is checked before any
-    system is assembled.  Zero measurements short-circuit to the zero
-    spectrum (there is no phase information to synchronize).  The
+    The data's grid must be the half-integer lattice, which is checked
+    before any system is assembled.  Zero measurements short-circuit to the
+    zero spectrum (there is no phase information to synchronize).  The
     measurements are scaled by the power of two ``2**(-2k)`` that brings
     their maximum into [0.5, 2) before the solve, and the spectrum by
     ``2**k`` after it.  Recovery is scale-equivariant and powers of two
     scale exactly, so the solve sees the same numbers at every scale and
     no norm in it overflows.
     """
-    cfg = cfg or RecoveryConfig()
-    grid = grid or data.grid
-    if grid != data.grid:
-        raise GridError("measurement grid does not match the requested grid")
-    if not grid.is_half_integer_lattice():
+    cfg, grid = cfg or RecoveryConfig(), data.grid
+    if not is_half_integer_lattice(grid.frequencies):
         raise GridError("measurement frequencies must be the half-integer "
                         "lattice (j - 2n - 1)/2, j = 1..4n+1")
     freqs = np.asarray(grid.frequencies, dtype=float)

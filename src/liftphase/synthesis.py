@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GridError, ZeroSignal
+from .forward import is_half_integer_lattice
 from .recovery import RecoveredSpectrum
 from .signals import Signal
 
@@ -49,19 +50,10 @@ def default_grid() -> np.ndarray:
     return -1.0 + (1.0 / 40.96) * np.arange(82)
 
 
-def _require_half_integer(frequencies: np.ndarray) -> None:
-    doubled = 2.0 * frequencies
-    rounded = np.round(doubled)
-    if (np.any(np.abs(doubled - rounded) > 1e-9)
-            or np.any(np.diff(rounded) != 1)
-            or rounded[0] != -rounded[-1]):
-        raise GridError("spectrum frequencies must be the symmetric "
-                        "half-integer lattice")
-
-
 def synthesize(spectrum: RecoveredSpectrum, points) -> PhysicalReconstruction:
     """Evaluate the truncated series (1/2) * sum_j f_hat_j e^{2 pi i w_j x}."""
-    _require_half_integer(np.asarray(spectrum.frequencies, dtype=float))
+    if not is_half_integer_lattice(spectrum.frequencies):
+        raise GridError("spectrum frequencies must be the half-integer lattice")
     pts = np.asarray(points, dtype=float)
     phases = np.exp(2j * np.pi * np.outer(pts, spectrum.frequencies))
     return PhysicalReconstruction(pts, 0.5 * (phases @ spectrum.f_hat))

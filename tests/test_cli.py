@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from liftphase import cli
+from liftphase import cli, lifting
 from liftphase.exceptions import ConfigError
 
 
@@ -449,11 +449,11 @@ class TestConfigResolution:
         grid = system.grid
         sizes = (grid.n_frequencies, grid.n_shifts, grid.delta)
         size = 8 * system.n_measurements * system.n_unknowns
-        monkeypatch.setattr(cli, "MATRIX_BUDGET", size)
-        cli._check_matrix_budget(*sizes)
-        monkeypatch.setattr(cli, "MATRIX_BUDGET", size - 1)
+        monkeypatch.setattr(lifting, "MATRIX_BUDGET", size)
+        lifting.check_matrix_budget(*sizes)
+        monkeypatch.setattr(lifting, "MATRIX_BUDGET", size - 1)
         with pytest.raises(ConfigError, match="lifted matrix"):
-            cli._check_matrix_budget(*sizes)
+            lifting.check_matrix_budget(*sizes)
 
     def test_measurement_grid_past_the_budget_exits_config(
             self, tmp_path, capsys, monkeypatch, small_measurement):
@@ -464,7 +464,7 @@ class TestConfigResolution:
             raise AssertionError("a system past the budget was assembled")
 
         monkeypatch.setattr(recovery, "assemble_system", forbidden)
-        monkeypatch.setattr(cli, "MATRIX_BUDGET", 8 * 3 * 21 * 21)
+        monkeypatch.setattr(lifting, "MATRIX_BUDGET", 8 * 3 * 21 * 21)
         out = tmp_path / "out"
         assert run_cli(["recover", str(small_measurement), "--out",
                         str(out)]) == cli.EXIT_CONFIG

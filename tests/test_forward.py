@@ -5,6 +5,7 @@ import pytest
 
 import liftphase as lp
 from liftphase.exceptions import ConfigError, GridError
+from liftphase.forward import is_half_integer_lattice
 
 from conftest import (adaptive_spectrogram, chirped_window, skewed_specimen,
                       tilted_window)
@@ -21,7 +22,7 @@ class TestPaperGrid:
         assert grid.frequencies[0] == -15.0
         assert grid.frequencies[1] == -14.5
         assert grid.frequencies[-1] == 15.0
-        assert grid.is_half_integer_lattice()
+        assert is_half_integer_lattice(grid.frequencies)
 
     def test_shifts_centered(self, grid):
         assert grid.shifts[5] == 0.0

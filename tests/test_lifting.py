@@ -239,7 +239,8 @@ def check_against_dense_svd(system):
 
 
 def factored_shapes(window, grid, monkeypatch):
-    """Factor a new system and return the shapes ``thin_svd`` received."""
+    """Factor a new system with ``.matrix`` unreadable, check the factors
+    against the dense SVD, and return the shapes ``thin_svd`` received."""
     from liftphase import lifting
 
     shapes = []
@@ -249,16 +250,22 @@ def factored_shapes(window, grid, monkeypatch):
         shapes.append(a.shape)
         return real_svd(a)
 
+    def forbidden(self):
+        raise AssertionError("the factorization read the matrix")
+
     system = lp.assemble_system(window, grid)
     with monkeypatch.context() as patch:
         patch.setattr(lifting, "thin_svd", recording_svd)
-        check_against_dense_svd(system)
+        patch.setattr(lp.LiftedSystem, "matrix", property(forbidden))
+        system.factorization
+    check_against_dense_svd(system)
     return system, shapes
 
 
 class TestFactorization:
     """The shift-parity split of the factorization: the same thin SVD as the
-    whole matrix's, from two blocks when the input allows it."""
+    whole matrix's, from two blocks when the input allows it and from one
+    otherwise, built without reading the matrix."""
 
     def test_paper_grid_matches_dense_svd(self, paper_system):
         s = check_against_dense_svd(paper_system)

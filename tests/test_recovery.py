@@ -45,6 +45,24 @@ class TestSolveBand:
         # negative-diagonal mass is a reported diagnostic, not silently fixed
         assert diag.clamped_fraction < 0.01
 
+    def test_factors_before_building_the_matrix(self, grid, window, b_series,
+                                                monkeypatch):
+        # the factorization's peak then does not also hold the matrix
+        from liftphase import lifting
+
+        system = lp.assemble_system(window, grid)
+        unbuilt = []
+        real_svd = lifting.thin_svd
+
+        def recording_svd(a):
+            unbuilt.append(system._matrix is None)
+            return real_svd(a)
+
+        monkeypatch.setattr(lifting, "thin_svd", recording_svd)
+        lp.solve_band(system, b_series["gaussian"])
+        assert unbuilt == [True, True]
+        assert system._matrix is not None
+
     def test_dimension_mismatch(self, paper_system, small_setup):
         grid, _ = small_setup
         data = lp.SpectrogramData(np.zeros(grid.n_shifts * grid.n_frequencies),
@@ -349,12 +367,6 @@ class TestRecover:
         data = lp.SpectrogramData(np.ones(7 * 21), grid, provenance="series")
         with pytest.raises(GridError):
             lp.recover(data, window)
-
-    def test_rejects_mismatched_grid(self, b_series, window):
-        from liftphase.exceptions import GridError
-        other = lp.half_integer_grid(21, 3, 0.1, 3)
-        with pytest.raises(GridError):
-            lp.recover(b_series["gaussian"], window, grid=other)
 
 
 class TestSpectrumSerialization:
