@@ -132,9 +132,7 @@ class ExperimentConfig:
         return forward.half_integer_grid(self.n_frequencies, self.n_shifts,
                                          self.shift_spacing, self.delta)
 
-    def noise(self) -> forward.NoiseSpec | None:
-        if self.noise_level <= 0:
-            return None
+    def noise(self) -> forward.NoiseSpec:
         return forward.NoiseSpec(self.noise_seed, self.noise_level)
 
     def recovery_config(self) -> recovery.RecoveryConfig:
@@ -152,16 +150,20 @@ class ExperimentConfig:
         return section(CONFIG_KEYS)
 
 
-def _config_from_file(path) -> dict:
+def _read_document(path, what: str) -> dict:
+    """The JSON object in file ``path``, a config or measurement document
+    (``what`` names it in messages).  An unreadable file raises _IOFailure
+    (exit 3); bad JSON or UTF-8, or a document that is not an object,
+    raises ConfigError (exit 2)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise _IOFailure(f"cannot read config {path}: {exc}") from exc
+        raise _IOFailure(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
+        raise ConfigError(f"{what} document must be a JSON object")
     return doc
 
 
@@ -173,7 +175,7 @@ def _build_config(args, preset: dict | None = None,
                   measures: bool = True) -> ExperimentConfig:
     updates = dict(preset or {})
     if getattr(args, "config", None):
-        doc = _config_from_file(args.config)
+        doc = _read_document(args.config, "config")
         if not measures:
             _reject_measurement_keys(doc)
         updates.update(_read_keys(doc, CONFIG_KEYS, ""))
@@ -241,15 +243,9 @@ def _check_preset(grid_doc: dict) -> None:
 def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.method not in ("quadrature", "series"):
         raise ConfigError(f"method must be quadrature or series, got {cfg.method!r}")
-    if cfg.noise_level < 0:
-        raise ConfigError("noise level must be >= 0")
-    if cfg.noise_seed < 0:
-        raise ConfigError("noise seed must be >= 0")
-    try:
-        signals.get_signal(cfg.signal)
-        signals.get_window(cfg.window)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    signals.get_signal(cfg.signal)
+    signals.get_window(cfg.window)
+    cfg.noise()
     cfg.recovery_config()
     lifting.check_matrix_budget(cfg.n_frequencies, cfg.n_shifts, cfg.delta)
     cfg.grid()
@@ -300,12 +296,8 @@ def _recover_from_data(cfg: ExperimentConfig, data: forward.SpectrogramData,
 
 def cmd_recover(args) -> int:
     cfg = _build_config(args, measures=False)
-    try:
-        data = forward.SpectrogramData.load(args.measurement)
-    except OSError as exc:
-        raise _IOFailure(f"cannot read measurement file: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
-        raise ConfigError(f"measurement file is not valid JSON: {exc}") from exc
+    data = forward.SpectrogramData.from_dict(
+        _read_document(args.measurement, "measurement"))
     grid = data.grid
     lifting.check_matrix_budget(grid.n_frequencies, grid.n_shifts, grid.delta)
     out_dir = Path(cfg.out_dir)
@@ -335,15 +327,8 @@ def cmd_experiment(args) -> int:
         metrics = _recover_from_data(cfg, data, stage)
         t_recover = time.perf_counter() - t0
         write_json(stage("measurement.json"), data.to_dict())
-        write_json(stage("metrics.json"), {
-            "experiment": args.name,
-            "aligned_relative_error": metrics["aligned_relative_error"],
-            "residual": metrics["residual"],
-            "eigen_gap": metrics["eigen_gap"],
-            "rank": metrics["rank"],
-            "refine_sweeps": metrics["refine_sweeps"],
-            "config": cfg.to_dict(),
-        })
+        write_json(stage("metrics.json"), {"experiment": args.name, **metrics,
+                                           "config": cfg.to_dict()})
     print(f"stage timings: measure {t_measure:.2f}s, recover {t_recover:.2f}s")
     print(f"artifacts in {out_dir}")
     return 0
@@ -389,7 +374,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GridError, DimensionError, KeyError) as exc:
+    except (ConfigError, GridError, DimensionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (_IOFailure, OSError) as exc:

@@ -9,7 +9,6 @@ multiplicative noise.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -62,11 +61,6 @@ class MeasurementGrid:
         return len(self.frequencies)
 
     @property
-    def half_range(self) -> int:
-        """The integer n with frequencies (j - 2n - 1)/2, j = 1..N."""
-        return (self.n_frequencies - 1) // 4
-
-    @property
     def key(self) -> tuple:
         return (self.shifts, self.frequencies, self.delta)
 
@@ -105,16 +99,20 @@ def paper_grid() -> MeasurementGrid:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Seeded multiplicative-uniform noise: b -> b * (1 + eps), |eps| <= level."""
+    """Seeded multiplicative-uniform noise: b -> b * (1 + eps), |eps| <= level.
+
+    A level above 1 is allowed (:func:`measure` clamps at zero); the draw
+    range 2·level must be finite, or the uniform draw overflows."""
 
     seed: int
     level: float
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("noise level must be >= 0")
+        if not (self.level >= 0 and math.isfinite(2.0 * self.level)):
+            raise ConfigError(f"noise level must be >= 0 and 2*level must be "
+                              f"finite, got {self.level!r}")
         if self.seed < 0:
-            raise ValueError("noise seed must be >= 0")
+            raise ConfigError(f"noise seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,11 +178,6 @@ class SpectrogramData:
                        provenance=doc.get("method", "file"), noise=spec)
         except (KeyError, TypeError, ValueError, ConfigError, GridError) as exc:
             raise ConfigError(f"invalid measurement document: {exc}") from exc
-
-    @classmethod
-    def load(cls, path) -> "SpectrogramData":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def check_type(key: str, expected: type, value) -> None:

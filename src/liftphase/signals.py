@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .exceptions import ConfigError
 from .kernels import QuadratureSpec, integrate_complex
 
 __all__ = [
@@ -144,13 +145,13 @@ _WINDOW_FACTORIES = {"gaussian": gaussian_window}
 def get_signal(name: str) -> Signal:
     """Catalog lookup; each call builds a new instance."""
     if name not in _SIGNAL_FACTORIES:
-        raise KeyError(f"unknown signal {name!r}; have {sorted(_SIGNAL_FACTORIES)}")
+        raise ConfigError(f"unknown signal {name!r}; have {sorted(_SIGNAL_FACTORIES)}")
     return _SIGNAL_FACTORIES[name]()
 
 
 def get_window(name: str) -> Window:
     if name not in _WINDOW_FACTORIES:
-        raise KeyError(f"unknown window {name!r}; have {sorted(_WINDOW_FACTORIES)}")
+        raise ConfigError(f"unknown window {name!r}; have {sorted(_WINDOW_FACTORIES)}")
     return _WINDOW_FACTORIES[name]()
 
 

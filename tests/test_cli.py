@@ -53,6 +53,17 @@ class TestSimulate:
                         "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("level", ["inf", "nan", "1e308"])
+    def test_unusable_noise_level_exits_config(self, tmp_path, capsys, level):
+        # inf and 1e308 overflow the uniform draw over [-level, level];
+        # nan would otherwise pass every comparison and apply no noise
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--method", "series",
+                        "--noise-level", level, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "2*level must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_methods_agree(self, tmp_path, b_quad, b_series):
         # session fixtures already hold both routes; compare the artifacts
         a = b_quad["gaussian"].values
@@ -64,7 +75,8 @@ class TestSimulate:
         out = tmp_path / "sim"
         run_cli(["simulate", "--signal", "gaussian", "--method", "series",
                  "--out", str(out)])
-        loaded = lp.SpectrogramData.load(out / "measurement.json")
+        loaded = lp.SpectrogramData.from_dict(
+            json.loads((out / "measurement.json").read_text()))
         assert np.array_equal(loaded.values, b_series["gaussian"].values)
         assert loaded.grid == b_series["gaussian"].grid
 
@@ -522,6 +534,7 @@ class TestConfigResolution:
         {"grid": {"preset": "paper", "n_frequencies": 21}},
         {"recovery": {"max_power_iters": 1}},
         {"noise": {"level": 10 ** 400}},
+        {"noise": {"level": 1e308}},
     ])
     def test_wrongly_typed_config_exits_config(self, tmp_path, document):
         cfg_path = tmp_path / "config.json"

@@ -66,6 +66,7 @@ flags = st.lists(st.sampled_from([
     ["--method", "series"], ["--method", "quadrature"], ["--method", "exact"],
     ["--delta", "2"], ["--delta", "9"], ["--delta", "x"],
     ["--noise-level", "1e-3"], ["--noise-level", "-1"], ["--seed", "-4"],
+    ["--noise-level", "inf"], ["--noise-level", "nan"],
     ["--seed", "3"], ["--window", "boxcar"], ["--unknown"],
 ]), max_size=2)
 
@@ -103,6 +104,11 @@ def run_in_process(argv):
                      database=None)
 @hypothesis.given(document=documents, command=commands, extra_flags=flags,
                   measured=st.booleans())
+# an infinite level on an otherwise valid run reaches the noise draw, which
+# overflows unless the level is rejected first
+@hypothesis.example(document={"grid": {"n_frequencies": 21, "delta": 3}},
+                    command=["simulate"], measured=False,
+                    extra_flags=[["--method", "series"], ["--noise-level", "inf"]])
 def test_any_config_exits_documented_code(measurement_file, document, command,
                                           extra_flags, measured):
     if command == ["recover"]:

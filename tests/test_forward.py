@@ -16,7 +16,6 @@ class TestPaperGrid:
         assert grid.n_frequencies == 61
         assert grid.n_shifts == 11
         assert grid.delta == 7
-        assert grid.half_range == 15
 
     def test_frequencies_half_steps(self, grid):
         assert grid.frequencies[0] == -15.0

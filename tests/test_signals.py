@@ -166,9 +166,9 @@ class TestParseval:
 class TestRegistryAndRotation:
     def test_registry(self):
         assert lp.signal_names() == ["gaussian", "modulated", "zero"]
-        with pytest.raises(KeyError):
+        with pytest.raises(lp.ConfigError):
             lp.get_signal("nope")
-        with pytest.raises(KeyError):
+        with pytest.raises(lp.ConfigError):
             lp.get_window("nope")
 
     def test_phase_rotation(self, gaussian):
