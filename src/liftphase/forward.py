@@ -25,7 +25,7 @@ __all__ = [
     "SpectrogramData",
     "paper_grid",
     "half_integer_grid",
-    "is_half_integer_lattice",
+    "half_integer_lattice",
     "spectrogram_quadrature",
     "spectrogram_series",
     "measure",
@@ -36,9 +36,23 @@ __all__ = [
 MEASUREMENT_TOL = 2e-11
 
 
+def half_integer_lattice(size: int) -> np.ndarray:
+    """The half-step frequency lattice (j - 2n - 1)/2, j = 1..4n+1, of
+    ``size = 4n + 1`` points, symmetric about zero; GridError unless
+    ``size`` is 1 mod 4."""
+    if size % 4 != 1:
+        raise GridError(f"the half-integer lattice has 4n + 1 frequencies, "
+                        f"not {size}")
+    return (np.arange(1, size + 1) - (size + 1) // 2) / 2.0
+
+
 @dataclass(frozen=True)
 class MeasurementGrid:
-    """Shifts, frequencies, and the series truncation radius delta."""
+    """Shifts, frequencies, and the series truncation radius delta.
+
+    The frequencies must be the half-integer lattice of their count, and
+    the count at least the 4*delta + 1 that a row of the lifted system
+    reaches; a grid that breaks either rule cannot be built."""
 
     shifts: tuple[float, ...]
     frequencies: tuple[float, ...]
@@ -47,10 +61,19 @@ class MeasurementGrid:
     def __post_init__(self):
         if self.delta < 1:
             raise GridError("delta must be >= 1")
-        if not self.shifts or not self.frequencies:
-            raise GridError("grid needs at least one shift and one frequency")
-        if not all(math.isfinite(x) for x in self.shifts + self.frequencies):
-            raise GridError("grid values must be finite")
+        if not self.shifts:
+            raise GridError("grid needs at least one shift")
+        if not all(math.isfinite(x) for x in self.shifts):
+            raise GridError("shifts must be finite")
+        lattice = half_integer_lattice(self.n_frequencies)
+        if not np.array_equal(self.frequencies, lattice):
+            raise GridError("frequencies must be the half-integer lattice "
+                            "(j - 2n - 1)/2, j = 1..4n+1")
+        if self.n_frequencies < 4 * self.delta + 1:
+            raise GridError(
+                f"{self.n_frequencies} frequencies are too few for "
+                f"delta={self.delta}: the lifted system needs at least "
+                f"{4 * self.delta + 1}")
 
     @property
     def n_shifts(self) -> int:
@@ -60,32 +83,13 @@ class MeasurementGrid:
     def n_frequencies(self) -> int:
         return len(self.frequencies)
 
-    @property
-    def key(self) -> tuple:
-        return (self.shifts, self.frequencies, self.delta)
-
-
-def is_half_integer_lattice(frequencies) -> bool:
-    """True when the frequencies are the half-step lattice (j - 2n - 1)/2,
-    j = 1..4n+1, exactly."""
-    n = len(frequencies)
-    expected = (np.arange(1, n + 1) - (n + 1) // 2) / 2.0
-    return n % 4 == 1 and bool(np.array_equal(frequencies, expected))
-
 
 def half_integer_grid(n_frequencies: int, n_shifts: int, shift_spacing: float,
                       delta: int) -> MeasurementGrid:
-    """Half-step frequency lattice with shifts centered about zero.
-
-    ``n_frequencies`` must be congruent to 1 mod 4 so the lattice endpoints
-    are symmetric half-integers.
-    """
-    if n_frequencies % 4 != 1:
-        raise GridError("n_frequencies must be 1 mod 4 for the half-step lattice")
+    """Half-step frequency lattice with shifts centered about zero."""
+    freqs = half_integer_lattice(n_frequencies)
     if n_shifts < 1 or shift_spacing <= 0:
         raise GridError("need n_shifts >= 1 and positive shift_spacing")
-    n = (n_frequencies - 1) // 4
-    freqs = (np.arange(1, n_frequencies + 1) - 2 * n - 1) / 2.0
     center = (n_shifts + 1) / 2.0
     shifts = (np.arange(1, n_shifts + 1) - center) * shift_spacing
     return MeasurementGrid(tuple(shifts), tuple(freqs), delta)

@@ -37,14 +37,6 @@ _SPLIT_FLOOR = 8 * np.finfo(float).eps
 MATRIX_BUDGET = 2 * 2 ** 30
 
 
-def require_band(n_frequencies: int, delta: int) -> None:
-    """Raise DimensionError unless a row's 4*delta + 1 frequencies fit."""
-    if n_frequencies < 4 * delta + 1:
-        raise DimensionError(
-            f"{n_frequencies} frequencies are too few for delta={delta}: "
-            f"the lifted system needs at least {4 * delta + 1}")
-
-
 def check_matrix_budget(n: int, n_shifts: int, delta: int) -> None:
     """Raise ConfigError if a grid's dense lifted matrix, K*N rows by
     N + 2p float64 columns with p = sum_{d=1}^{4 delta} max(N - d, 0)
@@ -95,7 +87,6 @@ class LiftedSystem:
 
     def __init__(self, window: Window, grid: MeasurementGrid):
         n = grid.n_frequencies
-        require_band(n, grid.delta)
         for l in grid.shifts:
             check_shift(window, l)
         self.grid = grid

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (ConfigError, DegenerateSpectrum, DimensionError,
-                         GridError)
-from .forward import MeasurementGrid, SpectrogramData, is_half_integer_lattice
+from .exceptions import ConfigError, DegenerateSpectrum, DimensionError
+from .forward import MeasurementGrid, SpectrogramData, half_integer_lattice
 from .kernels import (BandedMatrix, leading_eigenvector, min_norm_least_squares,
                       truncate)
 from .lifting import LiftedSystem, assemble_system
@@ -90,9 +89,13 @@ class RecoveryDiagnostics:
 class RecoveredSpectrum:
     """Recovered Fourier samples (up to one global unimodular factor)."""
 
-    frequencies: np.ndarray
     f_hat: np.ndarray
     diagnostics: RecoveryDiagnostics
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """The half-integer lattice that the samples' count fixes."""
+        return half_integer_lattice(self.f_hat.size)
 
     def to_dict(self) -> dict:
         return {
@@ -120,7 +123,7 @@ def cached_system(window: Window, grid: MeasurementGrid) -> LiftedSystem:
     so recoveries that start concurrently on a new system compute them
     once, and recoveries on other systems do not wait for them.
     """
-    key = (window.key, grid.key)
+    key = (window.key, grid)
     with _cache_lock:
         system = _system_cache.get(key)
         if system is None:
@@ -212,7 +215,7 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
     return refined, (resid / bnorm if bnorm > 0 else 0.0), sweeps
 
 
-def angular_synchronize(f: np.ndarray, frequencies=None) -> RecoveredSpectrum:
+def angular_synchronize(f: np.ndarray) -> RecoveredSpectrum:
     """Extract the spectrum from a Hermitian outer-product estimate, an
     N x N array that is zero outside the band it was estimated on.
 
@@ -244,12 +247,6 @@ def angular_synchronize(f: np.ndarray, frequencies=None) -> RecoveredSpectrum:
         raise DimensionError("synchronization needs an exactly Hermitian matrix")
     n = f.shape[0]
     diag = np.maximum(f.diagonal().real, 0.0)
-    if frequencies is None:
-        freqs = np.arange(n, dtype=float)
-    else:
-        freqs = np.asarray(frequencies, dtype=float)
-        if freqs.shape != (n,):
-            raise DimensionError("frequency vector length mismatch")
 
     mags = np.abs(f)
     phases = np.where(mags >= MAGNITUDE_FLOOR * mags.max(),
@@ -269,31 +266,24 @@ def angular_synchronize(f: np.ndarray, frequencies=None) -> RecoveredSpectrum:
     phases = np.where(mags_v > 0, vec / np.where(mags_v > 0, mags_v, 1.0), 1.0)
     f_hat = np.sqrt(diag) * phases
     diagnostics = RecoveryDiagnostics(residual=0.0, eigen_gap=gap, rank=0)
-    return RecoveredSpectrum(freqs, f_hat, diagnostics)
+    return RecoveredSpectrum(f_hat, diagnostics)
 
 
 def recover(data: SpectrogramData, window: Window,
             cfg: RecoveryConfig | None = None) -> RecoveredSpectrum:
     """Full inversion: assemble (cached), solve, refine, synchronize.
 
-    The data's grid must be the half-integer lattice, which is checked
-    before any system is assembled.  Zero measurements short-circuit to the
-    zero spectrum (there is no phase information to synchronize).  The
-    measurements are scaled by the power of two ``2**(-2k)`` that brings
-    their maximum into [0.5, 2) before the solve, and the spectrum by
-    ``2**k`` after it.  Recovery is scale-equivariant and powers of two
-    scale exactly, so the solve sees the same numbers at every scale and
-    no norm in it overflows.
+    Zero measurements short-circuit to the zero spectrum (there is no
+    phase information to synchronize).  The measurements are scaled by the
+    power of two ``2**(-2k)`` that brings their maximum into [0.5, 2)
+    before the solve, and the spectrum by ``2**k`` after it.  Recovery is
+    scale-equivariant and powers of two scale exactly, so the solve sees
+    the same numbers at every scale and no norm in it overflows.
     """
     cfg, grid = cfg or RecoveryConfig(), data.grid
-    if not is_half_integer_lattice(grid.frequencies):
-        raise GridError("measurement frequencies must be the half-integer "
-                        "lattice (j - 2n - 1)/2, j = 1..4n+1")
-    freqs = np.asarray(grid.frequencies, dtype=float)
-
     if not np.any(data.values > 0):
         diagnostics = RecoveryDiagnostics(residual=0.0, eigen_gap=None, rank=0)
-        return RecoveredSpectrum(freqs, np.zeros(freqs.size, dtype=complex),
+        return RecoveredSpectrum(np.zeros(grid.n_frequencies, dtype=complex),
                                  diagnostics)
 
     k = int(np.frexp(data.values.max())[1]) // 2
@@ -304,7 +294,7 @@ def recover(data: SpectrogramData, window: Window,
     if cfg.refine_iterations > 0:
         f, diagnostics.refine_residual, diagnostics.refine_sweeps = \
             _refine_rank_one(system, data.values, f, cfg)
-    spectrum = angular_synchronize(f, frequencies=freqs)
+    spectrum = angular_synchronize(f)
     spectrum.f_hat = spectrum.f_hat * 2.0 ** k
     diagnostics.eigen_gap = spectrum.diagnostics.eigen_gap
     spectrum.diagnostics = diagnostics

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GridError, ZeroSignal
-from .forward import is_half_integer_lattice
 from .recovery import RecoveredSpectrum
 from .signals import Signal
 
@@ -51,9 +50,9 @@ def default_grid() -> np.ndarray:
 
 
 def synthesize(spectrum: RecoveredSpectrum, points) -> PhysicalReconstruction:
-    """Evaluate the truncated series (1/2) * sum_j f_hat_j e^{2 pi i w_j x}."""
-    if not is_half_integer_lattice(spectrum.frequencies):
-        raise GridError("spectrum frequencies must be the half-integer lattice")
+    """Evaluate the truncated series (1/2) * sum_j f_hat_j e^{2 pi i w_j x}
+    over the spectrum's half-integer lattice w_j (GridError unless it has
+    4n + 1 samples)."""
     pts = np.asarray(points, dtype=float)
     phases = np.exp(2j * np.pi * np.outer(pts, spectrum.frequencies))
     return PhysicalReconstruction(pts, 0.5 * (phases @ spectrum.f_hat))

@@ -64,6 +64,28 @@ class TestSimulate:
         assert "2*level must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_method_in_config_exits_config(self, tmp_path, capsys):
+        # measure is the one check of the method, and it runs before the
+        # output directory is made
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"method": "exact"}))
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--config", str(cfg_path),
+                        "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "unknown measurement method" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_delta_past_the_band_exits_config(self, tmp_path, capsys):
+        # 61 frequencies hold the band of delta <= 15: a file no command
+        # could recover is never written
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--method", "series", "--delta", "20",
+                        "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "too few" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_methods_agree(self, tmp_path, b_quad, b_series):
         # session fixtures already hold both routes; compare the artifacts
         a = b_quad["gaussian"].values
@@ -171,7 +193,7 @@ class TestRecoverCommand:
         path.write_text(json.dumps(doc))
         out = tmp_path / "rec"
         assert run_cli(["recover", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--method", "quadrature"],
                                       ["--delta", "9"],
@@ -334,7 +356,7 @@ class TestExperiment:
         code = run_cli(["experiment", "paper-1", "--method", "series",
                         "--config", str(cfg_path), "--out", str(out)])
         assert code == cli.EXIT_CONFIG
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_grid_too_small_for_delta_is_rejected_before_measuring(
             self, tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 import liftphase as lp
 from liftphase.exceptions import ConfigError, GridError
-from liftphase.forward import is_half_integer_lattice
+from liftphase.forward import half_integer_lattice
 
 from conftest import (adaptive_spectrogram, chirped_window, skewed_specimen,
                       tilted_window)
@@ -21,7 +21,7 @@ class TestPaperGrid:
         assert grid.frequencies[0] == -15.0
         assert grid.frequencies[1] == -14.5
         assert grid.frequencies[-1] == 15.0
-        assert is_half_integer_lattice(grid.frequencies)
+        assert np.array_equal(grid.frequencies, half_integer_lattice(61))
 
     def test_shifts_centered(self, grid):
         assert grid.shifts[5] == 0.0
@@ -36,6 +36,14 @@ class TestPaperGrid:
             lp.half_integer_grid(61, 0, 0.1, 7)
         with pytest.raises(GridError):
             lp.half_integer_grid(61, 11, 0.1, 0)
+        # the grid itself keeps the lattice and band rules
+        paper = lp.paper_grid()
+        for frequencies, delta in (
+                (tuple(w + 0.1 for w in paper.frequencies), 7),  # off lattice
+                (paper.frequencies[29:32], 1),  # three: not 4n + 1
+                (paper.frequencies, 16)):  # 61 < 4*16 + 1 frequencies
+            with pytest.raises(GridError):
+                lp.MeasurementGrid(paper.shifts, frequencies, delta)
 
 
 class TestSpectrogramQuadrature:

@@ -76,8 +76,7 @@ class TestAngularSynchronize:
         grid, system = small_setup
         rng = np.random.default_rng(3)
         vec = random_lattice_vector(grid.n_frequencies, rng)
-        spectrum = lp.angular_synchronize(rank_one_banded(vec, system.band),
-                                          frequencies=grid.frequencies)
+        spectrum = lp.angular_synchronize(rank_one_banded(vec, system.band))
         aligned = align_phase(spectrum.f_hat, vec)
         assert np.linalg.norm(aligned - vec) / np.linalg.norm(vec) <= 1e-10
 
@@ -97,10 +96,9 @@ class TestAngularSynchronize:
         grid, system = small_setup
         rng = np.random.default_rng(13)
         vec = random_lattice_vector(grid.n_frequencies, rng)
-        first = lp.angular_synchronize(rank_one_banded(vec, system.band),
-                                       frequencies=grid.frequencies)
+        first = lp.angular_synchronize(rank_one_banded(vec, system.band))
         rebuilt = rank_one_banded(first.f_hat, system.band)
-        second = lp.angular_synchronize(rebuilt, frequencies=grid.frequencies)
+        second = lp.angular_synchronize(rebuilt)
         aligned = align_phase(second.f_hat, first.f_hat)
         assert np.linalg.norm(aligned - first.f_hat) <= 1e-10
 
@@ -116,8 +114,7 @@ class TestAngularSynchronize:
         grid, system = small_setup
         vec = random_lattice_vector(grid.n_frequencies,
                                     np.random.default_rng(2))
-        spectrum = lp.angular_synchronize(rank_one_banded(vec, system.band),
-                                          frequencies=grid.frequencies)
+        spectrum = lp.angular_synchronize(rank_one_banded(vec, system.band))
         assert spectrum.diagnostics.eigen_gap is None \
             or spectrum.diagnostics.eigen_gap > 1.5
 
@@ -313,7 +310,12 @@ class TestRecover:
             lp.RecoveryConfig(refine_iterations=-1)
 
     def test_system_cache_shares_instances(self, window, grid):
-        assert lp.cached_system(window, grid) is lp.cached_system(window, grid)
+        # the grid is its own key: equal grids share, unequal ones do not
+        system = lp.cached_system(window, grid)
+        assert lp.cached_system(window, grid) is system
+        assert lp.cached_system(window, lp.paper_grid()) is system
+        assert lp.cached_system(
+            window, lp.half_integer_grid(21, 7, 0.5 / 7, 3)) is not system
 
     def test_concurrent_recoveries_factor_a_new_system_once(
             self, b_series, window, monkeypatch):
@@ -352,34 +354,18 @@ class TestRecover:
         assert all(np.linalg.norm(r.f_hat - results[0].f_hat) <= 1e-9 * scale
                    for r in results)
 
-    def test_off_lattice_grid_rejected_before_assembly(self, window,
-                                                        monkeypatch):
-        from liftphase import recovery
-        from liftphase.exceptions import GridError
-
-        def forbidden(*args):
-            raise AssertionError("a system was assembled for off-lattice data")
-
-        monkeypatch.setattr(recovery, "assemble_system", forbidden)
-        lattice = lp.half_integer_grid(21, 7, 0.5 / 7.0, 3)
-        grid = lp.MeasurementGrid(lattice.shifts,
-                                  tuple(w + 0.1 for w in lattice.frequencies), 3)
-        data = lp.SpectrogramData(np.ones(7 * 21), grid, provenance="series")
-        with pytest.raises(GridError):
-            lp.recover(data, window)
-
 
 class TestSpectrumSerialization:
     def test_round_trip(self, small_setup):
         grid, system = small_setup
         vec = random_lattice_vector(grid.n_frequencies,
                                     np.random.default_rng(4))
-        spectrum = lp.angular_synchronize(rank_one_banded(vec, system.band),
-                                          frequencies=grid.frequencies)
+        spectrum = lp.angular_synchronize(rank_one_banded(vec, system.band))
         doc = json.loads(json.dumps(spectrum.to_dict()))
         f_hat = np.array([complex(re, im) for re, im in doc["f_hat"]])
         assert np.array_equal(f_hat, spectrum.f_hat)
         assert np.array_equal(doc["frequencies"], spectrum.frequencies)
+        assert np.array_equal(spectrum.frequencies, grid.frequencies)
         assert doc["diagnostics"]["eigen_gap"] == spectrum.diagnostics.eigen_gap
 
     def test_zero_spectrum_serializes_null_gap(self, grid, window):
