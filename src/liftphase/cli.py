@@ -24,8 +24,7 @@ from pathlib import Path
 
 from . import forward, lifting, recovery, signals, synthesis
 from .exceptions import (ConfigError, DecompositionFailure, DegenerateSpectrum,
-                         DimensionError, GridError, LiftphaseError,
-                         NonConvergence, ZeroSignal)
+                         GridError, LiftphaseError, NonConvergence, ZeroSignal)
 
 __all__ = ["main", "ExperimentConfig"]
 
@@ -108,9 +107,9 @@ CONFIG_KEYS = {
                  "refine_iterations": "refine_iterations"},
 }
 _GRID_SIZE_KEYS = ("n_frequencies", "n_shifts", "shift_spacing")
-#: Sections that describe the measurement.  ``recover`` takes them from its
+#: Keys that describe the measurement.  ``recover`` takes them from its
 #: measurement file, so its config file may not set them.
-_MEASUREMENT_KEYS = ("method", "grid", "noise")
+_MEASUREMENT_KEYS = ("signal", "window", "method", "grid", "noise")
 
 
 @dataclass(frozen=True)
@@ -224,7 +223,7 @@ def _reject_measurement_keys(doc: dict) -> None:
         if value is not None and value != {}:
             raise ConfigError(
                 f"config key {key!r} does not apply to recover: the "
-                f"measurement file fixes the method, grid and noise")
+                f"measurement file fixes what was measured")
 
 
 def _check_preset(grid_doc: dict) -> None:
@@ -249,15 +248,16 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     cfg.grid()
 
 
-def _simulate(cfg: ExperimentConfig) -> forward.SpectrogramData:
-    return forward.measure(signals.get_signal(cfg.signal),
-                           signals.get_window(cfg.window),
-                           cfg.grid(), method=cfg.method, noise=cfg.noise())
+def _simulate(cfg: ExperimentConfig):
+    """The configured signal and window, and the data measured with them."""
+    truth, window = signals.get_signal(cfg.signal), signals.get_window(cfg.window)
+    return truth, window, forward.measure(truth, window, cfg.grid(),
+                                          method=cfg.method, noise=cfg.noise())
 
 
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
-    data = _simulate(cfg)
+    _, _, data = _simulate(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _staged(out_dir) as stage:
@@ -269,12 +269,12 @@ def cmd_simulate(args) -> int:
 
 
 def _recover_from_data(cfg: ExperimentConfig, data: forward.SpectrogramData,
+                       window: signals.Window, truth: signals.Signal | None,
                        stage) -> dict:
-    truth = signals.get_signal(cfg.signal)
-    window = signals.get_window(cfg.window)
     spectrum = recovery.recover(data, window, cfg=cfg.recovery_config())
     reconstruction = synthesis.synthesize(spectrum, synthesis.default_grid())
-    error = synthesis.aligned_relative_error(reconstruction, truth)
+    error = (None if truth is None
+             else synthesis.aligned_relative_error(reconstruction, truth))
     write_json(stage("spectrum.json"), spectrum.to_dict())
     synthesis.write_reconstruction_csv(stage("reconstruction.csv"),
                                        reconstruction, truth)
@@ -282,7 +282,7 @@ def _recover_from_data(cfg: ExperimentConfig, data: forward.SpectrogramData,
     print(f"residual={diag.residual:.6e} rank={diag.rank} "
           f"refine_sweeps={diag.refine_sweeps} "
           f"eigen_gap={'n/a' if diag.eigen_gap is None else f'{diag.eigen_gap:.4f}'} "
-          f"aligned_error={error:.6e}")
+          f"aligned_error={'n/a' if error is None else f'{error:.6e}'}")
     return {
         "aligned_relative_error": error,
         "residual": diag.residual,
@@ -298,10 +298,12 @@ def cmd_recover(args) -> int:
         _read_document(args.measurement, "measurement"))
     grid = data.grid
     lifting.check_matrix_budget(grid.n_frequencies, grid.n_shifts, grid.delta)
+    window = signals.get_window(data.window)
+    truth = None if data.signal is None else signals.get_signal(data.signal)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with _staged(out_dir) as stage:
-        _recover_from_data(cfg, data, stage)
+        _recover_from_data(cfg, data, window, truth, stage)
     return 0
 
 
@@ -312,14 +314,14 @@ def cmd_experiment(args) -> int:
                           f"have {sorted(EXPERIMENT_PRESETS)}")
     cfg = _build_config(args, preset=preset)
     t0 = time.perf_counter()
-    data = _simulate(cfg)
+    truth, window, data = _simulate(cfg)
     t_measure = time.perf_counter() - t0
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     with _staged(out_dir) as stage:
         t0 = time.perf_counter()
-        metrics = _recover_from_data(cfg, data, stage)
+        metrics = _recover_from_data(cfg, data, window, truth, stage)
         t_recover = time.perf_counter() - t0
         write_json(stage("measurement.json"), data.to_dict())
         write_json(stage("metrics.json"), {"experiment": args.name, **metrics,
@@ -338,11 +340,11 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p, measures):
         p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--signal", metavar="NAME",
-                       help="catalog signal (gaussian, modulated, zero)")
-        p.add_argument("--window", metavar="NAME",
-                       help="catalog window (gaussian)")
         if measures:
+            p.add_argument("--signal", metavar="NAME",
+                           help="catalog signal (gaussian, modulated, zero)")
+            p.add_argument("--window", metavar="NAME",
+                           help="catalog window (gaussian)")
             p.add_argument("--method", choices=["quadrature", "series"])
             p.add_argument("--delta", type=int)
             p.add_argument("--noise-level", dest="noise_level", type=float)
@@ -369,7 +371,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GridError, DimensionError) as exc:
+    except (ConfigError, GridError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (_IOFailure, OSError) as exc:

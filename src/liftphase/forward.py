@@ -121,12 +121,15 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class SpectrogramData:
-    """Flat nonnegative measurement vector, shift-major then frequency."""
+    """Flat nonnegative measurement vector, shift-major then frequency, and
+    the names of the signal (None if unknown) and of the window measured."""
 
     values: np.ndarray
     grid: MeasurementGrid
     provenance: str = "quadrature"
     noise: NoiseSpec | None = None
+    signal: str | None = None
+    window: str = "gaussian"
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
@@ -146,6 +149,8 @@ class SpectrogramData:
 
     def to_dict(self) -> dict:
         return {
+            "signal": self.signal,
+            "window": self.window,
             "grid": {
                 "shifts": list(self.grid.shifts),
                 "frequencies": list(self.grid.frequencies),
@@ -161,13 +166,18 @@ class SpectrogramData:
     def from_dict(cls, doc: dict) -> "SpectrogramData":
         """Inverse of :meth:`to_dict`.  A missing or unknown key, or a value
         that :func:`check_type` rejects or the grid cannot take, raises
-        ConfigError; ``method`` may be left out and ``noise`` be null."""
+        ConfigError; ``method`` and ``window`` (then "gaussian") may be left
+        out, and ``signal`` and ``noise`` be null or left out."""
         try:
-            _known_keys("", doc, ("grid", "method", "noise", "b"))
+            _known_keys("", doc, ("signal", "window", "grid", "method",
+                                  "noise", "b"))
             layout, noise = doc["grid"], doc.get("noise")
             _known_keys("grid.", layout, ("shifts", "frequencies", "delta"))
             check_type("grid.delta", int, layout["delta"])
             check_type("method", str, doc.get("method", "file"))
+            check_type("window", str, doc.get("window", "gaussian"))
+            if doc.get("signal") is not None:
+                check_type("signal", str, doc["signal"])
             grid = MeasurementGrid(
                 _numbers("grid.shifts", layout["shifts"]),
                 _numbers("grid.frequencies", layout["frequencies"]),
@@ -179,7 +189,9 @@ class SpectrogramData:
                 check_type("noise.level", float, noise["level"])
                 spec = NoiseSpec(noise["seed"], float(noise["level"]))
             return cls(np.array(_numbers("b", doc["b"])), grid,
-                       provenance=doc.get("method", "file"), noise=spec)
+                       provenance=doc.get("method", "file"), noise=spec,
+                       signal=doc.get("signal"),
+                       window=doc.get("window", "gaussian"))
         except (KeyError, TypeError, ValueError, ConfigError, GridError) as exc:
             raise ConfigError(f"invalid measurement document: {exc}") from exc
 
@@ -321,4 +333,5 @@ def measure(signal: Signal, window: Window, grid: MeasurementGrid,
         values = np.maximum(values * (1.0 + eps), 0.0)
     else:
         noise = None
-    return SpectrogramData(values, grid, provenance=method, noise=noise)
+    return SpectrogramData(values, grid, provenance=method, noise=noise,
+                           signal=signal.name, window=window.name)

@@ -19,7 +19,7 @@ the eigen-gap from that matrix's dense spectrum.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -287,8 +287,7 @@ def recover(data: SpectrogramData, window: Window,
                                  diagnostics)
 
     k = int(np.frexp(data.values.max())[1]) // 2
-    data = SpectrogramData(np.ldexp(data.values, -2 * k), grid,
-                           provenance=data.provenance, noise=data.noise)
+    data = replace(data, values=np.ldexp(data.values, -2 * k))
     system = cached_system(window, grid)
     f, diagnostics = solve_band(system, data, cfg)
     if cfg.refine_iterations > 0:

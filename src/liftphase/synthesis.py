@@ -78,17 +78,18 @@ def aligned_relative_error(reconstruction: PhysicalReconstruction,
 
 
 def write_reconstruction_csv(path, reconstruction: PhysicalReconstruction,
-                             truth: Signal) -> None:
-    """CSV with the aligned reconstruction next to the true signal values."""
-    theta = reconstruction.alignment_phase
-    if theta is None:
-        aligned_relative_error(reconstruction, truth)
-        theta = reconstruction.alignment_phase
-    rotated = np.exp(1j * theta) * reconstruction.values
-    true_vals = truth.evaluate(reconstruction.points)
+                             truth: Signal | None) -> None:
+    """CSV with the aligned reconstruction next to the true signal values,
+    or with no ``truth`` the unrotated reconstruction alone."""
+    columns = {"f_rec": reconstruction.values}
+    if truth is not None:
+        if reconstruction.alignment_phase is None:
+            aligned_relative_error(reconstruction, truth)
+        rotated = np.exp(1j * reconstruction.alignment_phase) * reconstruction.values
+        columns = {"f_true": truth.evaluate(reconstruction.points), "f_rec": rotated}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "f_true_re", "f_true_im", "f_rec_re", "f_rec_im"])
-        for x, tv, rv in zip(reconstruction.points, true_vals, rotated):
-            writer.writerow([f"{x:.17g}", f"{tv.real:.17g}", f"{tv.imag:.17g}",
-                             f"{rv.real:.17g}", f"{rv.imag:.17g}"])
+        writer.writerow(["x"] + [f"{c}_{p}" for c in columns for p in ("re", "im")])
+        for x, *row in zip(reconstruction.points, *columns.values()):
+            writer.writerow([f"{x:.17g}"] + [f"{part:.17g}" for value in row
+                                             for part in (value.real, value.imag)])

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from liftphase import cli, lifting
-from liftphase.exceptions import ConfigError
+from liftphase import cli, lifting, recovery
+from liftphase.exceptions import ConfigError, DimensionError
 
 
 SMALL_GRID = {"n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
@@ -36,7 +36,8 @@ class TestSimulate:
                         "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "measurement.json").read_text())
-        assert set(doc) == {"grid", "method", "noise", "b"}
+        assert set(doc) == {"signal", "window", "grid", "method", "noise", "b"}
+        assert (doc["signal"], doc["window"]) == ("zero", "gaussian")
         assert len(doc["b"]) == 671
         assert doc["noise"] is None
         assert "b_min" in capsys.readouterr().out
@@ -104,13 +105,16 @@ class TestSimulate:
 
 
 class TestRecoverCommand:
-    def test_recover_roundtrip(self, tmp_path):
+    def test_recover_roundtrip(self, tmp_path, capsys):
+        # the measurement file names its signal and window, so recover needs
+        # no flag to measure the error against the right truth
         out = tmp_path / "exp"
         run_cli(["simulate", "--signal", "modulated", "--method", "series",
                  "--out", str(out)])
         code = run_cli(["recover", str(out / "measurement.json"),
-                        "--signal", "modulated", "--out", str(out)])
+                        "--out", str(out)])
         assert code == 0
+        assert "aligned_error=1.397490e-05" in capsys.readouterr().out
         spectrum = json.loads((out / "spectrum.json").read_text())
         assert set(spectrum) == {"frequencies", "f_hat", "diagnostics"}
         assert len(spectrum["f_hat"]) == 61
@@ -139,11 +143,13 @@ class TestRecoverCommand:
         ({"grid": {"delta": 9, "n_frequencies": 61}}, "grid.delta"),
         ({"grid": {"preset": "paper"}}, "grid.preset"),
         ({"noise": {"level": None, "seed": 3}}, "noise.seed"),
+        ({"signal": "modulated"}, "signal"),
+        ({"window": "gaussian"}, "window"),
     ])
     def test_measurement_config_keys_rejected(self, tmp_path, capsys,
                                               document, key):
-        # the measurement file fixes the method, grid and noise; a config
-        # file that sets them would be silently ignored
+        # the measurement file fixes the signal, window, method, grid and
+        # noise; a config file that sets them would be silently ignored
         small = {"method": "series", "grid": {
             "n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
             "delta": 3}}
@@ -198,10 +204,12 @@ class TestRecoverCommand:
     @pytest.mark.parametrize("flag", [["--method", "quadrature"],
                                       ["--delta", "9"],
                                       ["--noise-level", "0.5"],
-                                      ["--seed", "3"]])
+                                      ["--seed", "3"],
+                                      ["--signal", "modulated"],
+                                      ["--window", "gaussian"]])
     def test_measurement_flags_are_rejected(self, tmp_path, capsys, flag):
-        # the measurement file fixes the method, delta and noise, so recover
-        # has no such flags and argparse rejects them
+        # the measurement file fixes the signal, window, method, delta and
+        # noise, so recover has no such flags and argparse rejects them
         grid = {"n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
                 "delta": 3}
         cfg_path = tmp_path / "config.json"
@@ -231,9 +239,13 @@ class TestRecoverCommand:
         (("method",), None),
         (("b", 0), True),
         (("b", 0), 10 ** 400),
+        (("signal",), 3),
+        (("window",), None),
+        (("window",), ["gaussian"]),
     ], ids=["delta-float", "delta-bool", "delta-integral-float", "shift-bool",
             "frequency-string", "seed-negative", "seed-float", "seed-bool",
-            "level-bool", "method-list", "method-null", "b-bool", "b-huge"])
+            "level-bool", "method-list", "method-null", "b-bool", "b-huge",
+            "signal-int", "window-null", "window-list"])
     def test_mistyped_measurement_file_exits_config(
             self, tmp_path, capsys, small_measurement, path, value):
         # the file's values take the config path's type rules: a truncated
@@ -285,6 +297,59 @@ class TestRecoverCommand:
                         str(out)]) == 0
         assert {p.name for p in out.iterdir()} == {"spectrum.json",
                                                    "reconstruction.csv"}
+
+    def test_file_without_signal_recovers_without_error(
+            self, tmp_path, capsys, small_measurement):
+        # a file written before measurements named their signal has no
+        # truth to measure against: no aligned error, no truth columns
+        doc = json.loads(small_measurement.read_text())
+        del doc["signal"]
+        path = tmp_path / "unnamed.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        assert run_cli(["recover", str(path), "--out", str(out)]) == 0
+        assert "aligned_error=n/a" in capsys.readouterr().out
+        csv_text = (out / "reconstruction.csv").read_text()
+        assert csv_text.splitlines()[0] == "x,f_rec_re,f_rec_im"
+
+    @pytest.mark.parametrize("key, name", [("signal", "mystery"),
+                                           ("window", "boxcar")])
+    def test_unknown_name_in_file_exits_config(self, tmp_path, capsys,
+                                               small_measurement, key, name):
+        doc = json.loads(small_measurement.read_text())
+        doc[key] = name
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        assert run_cli(["recover", str(path), "--out", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert f"unknown {key} {name!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_signal_file_exits_numerical(self, tmp_path, capsys):
+        # the zero signal has no norm to measure an error against
+        sim = tmp_path / "sim"
+        assert run_cli(["simulate", "--signal", "zero", "--method", "series",
+                        "--out", str(sim)]) == 0
+        out = tmp_path / "rec"
+        capsys.readouterr()
+        assert run_cli(["recover", str(sim / "measurement.json"), "--out",
+                        str(out)]) == cli.EXIT_NUMERICAL
+        assert "reference signal vanishes" in capsys.readouterr().err
+        assert set(out.iterdir()) == set()
+
+    def test_internal_shape_error_is_not_a_config_error(
+            self, tmp_path, monkeypatch, small_measurement):
+        # every DimensionError guards an internal shape, so one is a bug
+        # and must surface as a traceback, not as exit 2
+        def broken(*args, **kwargs):
+            raise DimensionError("internal shape")
+        monkeypatch.setattr(recovery, "recover", broken)
+        with pytest.raises(DimensionError):
+            cli.main(["recover", str(small_measurement), "--out",
+                      str(tmp_path / "rec")])
 
     def test_unreadable_json_exits_config(self, tmp_path, small_measurement):
         # Python's JSON reader refuses integers of more than 4300 digits,

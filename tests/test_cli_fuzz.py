@@ -112,12 +112,12 @@ def run_in_process(argv):
 def test_any_config_exits_documented_code(measurement_file, document, command,
                                           extra_flags, measured):
     if command == ["recover"]:
-        # recover takes the grid, method and noise from its measurement file
-        # and rejects them in a config file unless they are left out
+        # recover takes what was measured from its measurement file and
+        # rejects it in a config file unless it is left out
         command = ["recover", str(measurement_file)]
         if not measured:
             document = {key: value for key, value in document.items()
-                        if key not in ("grid", "method", "noise")}
+                        if key not in cli._MEASUREMENT_KEYS}
     with tempfile.TemporaryDirectory() as scratch:
         config = Path(scratch) / "config.json"
         config.write_text(json.dumps(document))
@@ -145,9 +145,9 @@ FIELDS = st.sampled_from([
     ("grid",), ("grid", "delta"), ("grid", "shifts"), ("grid", "shifts", 0),
     ("grid", "frequencies", 3), ("method",), ("noise",), ("noise", "seed"),
     ("noise", "level"), ("b",), ("b", 5), ("extra",), ("grid", "detla"),
-    ("noise", "sigma")])
+    ("noise", "sigma"), ("signal",), ("window",)])
 #: The keys of the measurement schema, per section.
-SCHEMA = {"": {"grid", "method", "noise", "b"},
+SCHEMA = {"": {"signal", "window", "grid", "method", "noise", "b"},
           "grid": {"shifts", "frequencies", "delta"},
           "noise": {"seed", "level"}}
 MISSING = object()
@@ -187,9 +187,10 @@ def is_integer(value):
 
 def well_typed(doc):
     """Every field of the measurement schema has its type: integer delta,
-    numeric shifts, frequencies and b, a string method if any, and a null
-    noise or one with a non-negative integer seed and a numeric level; and
-    no section holds a key the schema does not list."""
+    numeric shifts, frequencies and b, a string method and window if any, a
+    string or null signal, and a null noise or one with a non-negative
+    integer seed and a numeric level; and no section holds a key the schema
+    does not list."""
     grid, noise = doc.get("grid"), doc.get("noise")
     return (set(doc) <= SCHEMA[""]
             and isinstance(grid, dict) and set(grid) <= SCHEMA["grid"]
@@ -199,6 +200,8 @@ def well_typed(doc):
                     for key in ("shifts", "frequencies"))
             and isinstance(doc.get("b"), list) and all(map(is_number, doc["b"]))
             and isinstance(doc.get("method", ""), str)
+            and isinstance(doc.get("window", ""), str)
+            and isinstance(doc.get("signal", ""), (str, type(None)))
             and (noise is None or (isinstance(noise, dict)
                                    and set(noise) <= SCHEMA["noise"]
                                    and is_integer(noise.get("seed"))

@@ -222,6 +222,11 @@ class TestSerialization:
         assert np.array_equal(back.values, data.values)
         assert back.grid == data.grid
         assert back.provenance == "series"
+        assert (back.signal, back.window) == ("gaussian", "gaussian")
+        # files written before measurements named their signal and window
+        del doc["signal"], doc["window"]
+        back = lp.SpectrogramData.from_dict(doc)
+        assert (back.signal, back.window) == (None, "gaussian")
 
     def test_rejects_negative_entry(self, b_series):
         doc = b_series["gaussian"].to_dict()

@@ -116,3 +116,10 @@ class TestCsv:
         assert np.allclose(x, pts)
         # written reconstruction is already phase-aligned to the truth
         assert np.allclose(rec_re, true_re, atol=1e-10)
+        # with no truth, the reconstruction is written alone and unrotated
+        lp.write_reconstruction_csv(path, rec, None)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x", "f_rec_re", "f_rec_im"]
+        written = np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]])
+        assert np.array_equal(written, rec.values)
