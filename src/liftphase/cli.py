@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import forward, lifting, recovery, signals, synthesis
@@ -67,14 +67,16 @@ def write_json(path, document: dict) -> None:
 
 @contextlib.contextmanager
 def _staged(out_dir: Path):
-    """Write a run's artifacts under temporary names, then rename them all
-    into place.
+    """Make the output directory, then write a run's artifacts under
+    temporary names and rename them all into place.
 
     Yields ``stage(name)``, which returns the temporary path at which to
     write artifact ``name``.  When the block completes, each staged file is
     renamed onto its name with :func:`os.replace`; whatever happens, no
-    staged file is left behind, so a run that fails leaves no artifact.
+    staged file is left behind, so a run that fails leaves no artifact.  A
+    run that fails also removes the directories it made, and only those.
     """
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     staged = []
 
     def stage(name: str) -> Path:
@@ -83,12 +85,17 @@ def _staged(out_dir: Path):
         return temporary
 
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         yield stage
         for temporary, path in staged:
             os.replace(temporary, path)
+        made = []
     finally:
         for temporary, _ in staged:
             temporary.unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
 
 
 #: Config-file layout: file key -> ExperimentConfig field, with a nested
@@ -96,26 +103,23 @@ def _staged(out_dir: Path):
 #: Any key not listed here is rejected.
 CONFIG_KEYS = {
     "signal": "signal",
-    "window": "window",
     "method": "method",
     "out": "out_dir",
     "grid": {"preset": None, "n_frequencies": "n_frequencies",
              "n_shifts": "n_shifts", "shift_spacing": "shift_spacing",
              "delta": "delta"},
     "noise": {"seed": "noise_seed", "level": "noise_level"},
-    "recovery": {"rank_tol": "rank_tol",
-                 "refine_iterations": "refine_iterations"},
+    "recovery": {"rank_tol": "rank_tol"},
 }
 _GRID_SIZE_KEYS = ("n_frequencies", "n_shifts", "shift_spacing")
 #: Keys that describe the measurement.  ``recover`` takes them from its
 #: measurement file, so its config file may not set them.
-_MEASUREMENT_KEYS = ("signal", "window", "method", "grid", "noise")
+_MEASUREMENT_KEYS = ("signal", "method", "grid", "noise")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     signal: str = "gaussian"
-    window: str = "gaussian"
     n_frequencies: int = 61
     n_shifts: int = 11
     shift_spacing: float = 0.5 / 11.0
@@ -124,7 +128,6 @@ class ExperimentConfig:
     noise_seed: int = 0
     noise_level: float = 0.0
     rank_tol: float = 1e-10
-    refine_iterations: int = 30
     out_dir: str = "out"
 
     def grid(self) -> forward.MeasurementGrid:
@@ -135,8 +138,7 @@ class ExperimentConfig:
         return forward.NoiseSpec(self.noise_seed, self.noise_level)
 
     def recovery_config(self) -> recovery.RecoveryConfig:
-        return recovery.RecoveryConfig(
-            rank_tol=self.rank_tol, refine_iterations=self.refine_iterations)
+        return recovery.RecoveryConfig(rank_tol=self.rank_tol)
 
     def to_dict(self) -> dict:
         """The resolved configuration in config-file layout.  The output
@@ -180,10 +182,9 @@ def _build_config(args, preset: dict | None = None,
         updates.update(_read_keys(doc, CONFIG_KEYS, ""))
         _check_preset(doc.get("grid") or {})
     # flags override the file
-    for attr, flag in (("signal", "signal"), ("window", "window"),
-                       ("method", "method"), ("delta", "delta"),
-                       ("noise_level", "noise_level"), ("noise_seed", "seed"),
-                       ("out_dir", "out")):
+    for attr, flag in (("signal", "signal"), ("method", "method"),
+                       ("delta", "delta"), ("noise_level", "noise_level"),
+                       ("noise_seed", "seed"), ("out_dir", "out")):
         val = getattr(args, flag, None)
         if val is not None:
             updates[attr] = val
@@ -241,7 +242,6 @@ def _check_preset(grid_doc: dict) -> None:
 
 def _validate_config(cfg: ExperimentConfig) -> None:
     signals.get_signal(cfg.signal)
-    signals.get_window(cfg.window)
     cfg.noise()
     cfg.recovery_config()
     lifting.check_matrix_budget(cfg.n_frequencies, cfg.n_shifts, cfg.delta)
@@ -249,18 +249,17 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _simulate(cfg: ExperimentConfig):
-    """The configured signal and window, and the data measured with them."""
-    truth, window = signals.get_signal(cfg.signal), signals.get_window(cfg.window)
+    """The configured signal, the window, and the data measured with them."""
+    truth, window = signals.get_signal(cfg.signal), signals.get_window("gaussian")
     return truth, window, forward.measure(truth, window, cfg.grid(),
                                           method=cfg.method, noise=cfg.noise())
 
 
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
-    _, _, data = _simulate(cfg)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with _staged(out_dir) as stage:
+        _, _, data = _simulate(cfg)
         write_json(stage("measurement.json"), data.to_dict())
     print(f"wrote {out_dir / 'measurement.json'}")
     print(f"N={data.grid.n_frequencies} K={data.grid.n_shifts} "
@@ -283,13 +282,7 @@ def _recover_from_data(cfg: ExperimentConfig, data: forward.SpectrogramData,
           f"refine_sweeps={diag.refine_sweeps} "
           f"eigen_gap={'n/a' if diag.eigen_gap is None else f'{diag.eigen_gap:.4f}'} "
           f"aligned_error={'n/a' if error is None else f'{error:.6e}'}")
-    return {
-        "aligned_relative_error": error,
-        "residual": diag.residual,
-        "eigen_gap": diag.eigen_gap,
-        "rank": diag.rank,
-        "refine_sweeps": diag.refine_sweeps,
-    }
+    return {"aligned_relative_error": error, **asdict(diag)}
 
 
 def cmd_recover(args) -> int:
@@ -300,9 +293,7 @@ def cmd_recover(args) -> int:
     lifting.check_matrix_budget(grid.n_frequencies, grid.n_shifts, grid.delta)
     window = signals.get_window(data.window)
     truth = None if data.signal is None else signals.get_signal(data.signal)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _staged(out_dir) as stage:
+    with _staged(Path(cfg.out_dir)) as stage:
         _recover_from_data(cfg, data, window, truth, stage)
     return 0
 
@@ -313,20 +304,17 @@ def cmd_experiment(args) -> int:
         raise ConfigError(f"unknown experiment {args.name!r}; "
                           f"have {sorted(EXPERIMENT_PRESETS)}")
     cfg = _build_config(args, preset=preset)
-    t0 = time.perf_counter()
-    truth, window, data = _simulate(cfg)
-    t_measure = time.perf_counter() - t0
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     with _staged(out_dir) as stage:
         t0 = time.perf_counter()
+        truth, window, data = _simulate(cfg)
+        t1 = time.perf_counter()
         metrics = _recover_from_data(cfg, data, window, truth, stage)
-        t_recover = time.perf_counter() - t0
+        t2 = time.perf_counter()
         write_json(stage("measurement.json"), data.to_dict())
         write_json(stage("metrics.json"), {"experiment": args.name, **metrics,
                                            "config": cfg.to_dict()})
-    print(f"stage timings: measure {t_measure:.2f}s, recover {t_recover:.2f}s")
+    print(f"stage timings: measure {t1 - t0:.2f}s, recover {t2 - t1:.2f}s")
     print(f"artifacts in {out_dir}")
     return 0
 
@@ -343,8 +331,6 @@ def _parser() -> argparse.ArgumentParser:
         if measures:
             p.add_argument("--signal", metavar="NAME",
                            help="catalog signal (gaussian, modulated, zero)")
-            p.add_argument("--window", metavar="NAME",
-                           help="catalog window (gaussian)")
             p.add_argument("--method", choices=["quadrature", "series"])
             p.add_argument("--delta", type=int)
             p.add_argument("--noise-level", dest="noise_level", type=float)

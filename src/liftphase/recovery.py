@@ -4,12 +4,12 @@
 lifted system's real coordinates, which describe Hermitian banded matrices
 only, so the solution, a plain N x N array, is Hermitian by construction.
 The measurement operator is rank-deficient, so that solution is only one
-representative of the solution set; ``recover`` optionally refines it by
-alternating projections between the solution set and the rank-one
+representative of the solution set; ``recover`` refines it by alternating
+projections between the solution set and the rank-one
 positive-semidefinite matrices, which picks the physically meaningful
 representative and markedly improves the recovered magnitudes.  It runs
-at most ``refine_iterations`` sweeps, stopping on the gap plateau: after
-the sweep in which the rank-one iterate's distance from the solution set
+at most ``MAX_SWEEPS`` sweeps, stopping on the gap plateau: after the
+sweep in which the rank-one iterate's distance from the solution set
 falls by less than 1%.
 ``angular_synchronize`` then reads magnitudes off the diagonal and phases
 off the leading eigenvector of the phase-normalized band matrix, and takes
@@ -19,7 +19,7 @@ the eigen-gap from that matrix's dense spectrum.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -47,6 +47,8 @@ MAGNITUDE_FLOOR = 1e-6
 #: Refinement stops after a sweep that leaves the rank-one iterate farther
 #: from the solution set than this fraction of the previous sweep's distance.
 PLATEAU_RATIO = 0.99
+#: Most refinement sweeps a recovery runs.
+MAX_SWEEPS = 30
 #: Residual tolerance and iteration budget of the synchronization power
 #: iteration.
 POWER_TOL = 1e-10
@@ -55,33 +57,32 @@ MAX_POWER_ITERS = 50000
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Tolerances for the inversion pipeline.
-
-    ``rank_tol`` is the relative singular-value cutoff of the least-squares
-    solve.  ``refine_iterations`` caps the alternating-projection sweeps
-    toward the rank-one positive-semidefinite representative of the
-    solution set: at most that many sweeps, stopping on the gap plateau
-    (see ``PLATEAU_RATIO``).  Zero disables refinement and keeps the plain
-    minimum-norm solution.
-    """
+    """Tolerance of the inversion pipeline: ``rank_tol`` is the relative
+    singular-value cutoff of the least-squares solve and the refinement."""
 
     rank_tol: float = 1e-10
-    refine_iterations: int = 30
 
     def __post_init__(self):
         if self.rank_tol <= 0:
             raise ConfigError("rank_tol must be positive")
-        if self.refine_iterations < 0:
-            raise ConfigError("refine_iterations must be >= 0")
 
 
 @dataclass
 class RecoveryDiagnostics:
-    residual: float
-    eigen_gap: float | None
-    rank: int
+    """What a recovery reports; ``spectrum.json`` and ``metrics.json``
+    write it whole.  ``residual`` and ``rank``: the least-squares solve's
+    relative residual ‖Ax − b‖/‖b‖ and numerical rank; ``clamped_fraction``:
+    its negative diagonal mass over its positive trace; ``refine_residual``
+    and ``refine_sweeps``: the refined band's relative residual and the
+    sweeps run, at most ``MAX_SWEEPS``; ``eigen_gap``: λ1/λ2 of the
+    phase-normalized matrix, None when nothing was synchronized.  Zero
+    measurements report the defaults."""
+
+    residual: float = 0.0
+    eigen_gap: float | None = None
+    rank: int = 0
     clamped_fraction: float = 0.0
-    refine_residual: float | None = None
+    refine_residual: float = 0.0
     refine_sweeps: int = 0
 
 
@@ -98,16 +99,9 @@ class RecoveredSpectrum:
         return half_integer_lattice(self.f_hat.size)
 
     def to_dict(self) -> dict:
-        return {
-            "frequencies": [float(w) for w in self.frequencies],
-            "f_hat": [[float(v.real), float(v.imag)] for v in self.f_hat],
-            "diagnostics": {
-                "residual": float(self.diagnostics.residual),
-                "eigen_gap": (None if self.diagnostics.eigen_gap is None
-                              else float(self.diagnostics.eigen_gap)),
-                "rank": int(self.diagnostics.rank),
-            },
-        }
+        return {"frequencies": [float(w) for w in self.frequencies],
+                "f_hat": [[float(v.real), float(v.imag)] for v in self.f_hat],
+                "diagnostics": asdict(self.diagnostics)}
 
 
 _system_cache: dict[tuple, LiftedSystem] = {}
@@ -161,10 +155,9 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
     diag = f.diagonal().real
     clamped = float(-diag[diag < 0].sum())
     trace = float(diag[diag > 0].sum())
-    diagnostics = RecoveryDiagnostics(
-        residual=rel_residual, eigen_gap=None, rank=rank,
+    return f, RecoveryDiagnostics(
+        rel_residual, rank=rank,
         clamped_fraction=clamped / trace if trace > 0 else 0.0)
-    return f, diagnostics
 
 
 def _rank_one_part(system: LiftedSystem, x: np.ndarray) -> np.ndarray:
@@ -178,8 +171,8 @@ def _rank_one_part(system: LiftedSystem, x: np.ndarray) -> np.ndarray:
 def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
                      cfg: RecoveryConfig) -> tuple[np.ndarray, float, int]:
     """Alternate between the least-squares solution set and the banded
-    rank-one positive-semidefinite cone, for at most
-    ``cfg.refine_iterations`` sweeps, stopping on the gap plateau.
+    rank-one positive-semidefinite cone, for at most ``MAX_SWEEPS`` sweeps,
+    stopping on the gap plateau.
 
     Each sweep replaces the iterate by its dominant rank-one part y and
     then moves back onto the solution set by subtracting the minimum-norm
@@ -201,7 +194,7 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
     a = system.matrix
 
     x, sweeps, previous = system.pack(f), 0, np.inf
-    for sweeps in range(1, cfg.refine_iterations + 1):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         y = system.pack(_rank_one_part(system, x))
         g = (u.T @ (a @ y - b)) / s
         x = y - vt.T @ g
@@ -227,9 +220,8 @@ def angular_synchronize(f: np.ndarray) -> RecoveredSpectrum:
     unimodular factor.  The eigen-gap is the ratio of the two largest
     eigenvalues of the phase-normalized matrix (``numpy.linalg.eigvalsh``);
     the power iteration supplies only the vector, which converges at the
-    rate of that gap.  The residual and rank fields of the returned
-    diagnostics belong to the solve stage and stay zero when this is called
-    standalone; ``recover`` fills them in.
+    rate of that gap.  The returned diagnostics hold only the eigen-gap;
+    ``recover`` reports it with the solve's and the refinement's fields.
 
     Raises
     ------
@@ -265,8 +257,7 @@ def angular_synchronize(f: np.ndarray) -> RecoveredSpectrum:
     mags_v = np.abs(vec)
     phases = np.where(mags_v > 0, vec / np.where(mags_v > 0, mags_v, 1.0), 1.0)
     f_hat = np.sqrt(diag) * phases
-    diagnostics = RecoveryDiagnostics(residual=0.0, eigen_gap=gap, rank=0)
-    return RecoveredSpectrum(f_hat, diagnostics)
+    return RecoveredSpectrum(f_hat, RecoveryDiagnostics(eigen_gap=gap))
 
 
 def recover(data: SpectrogramData, window: Window,
@@ -282,19 +273,15 @@ def recover(data: SpectrogramData, window: Window,
     """
     cfg, grid = cfg or RecoveryConfig(), data.grid
     if not np.any(data.values > 0):
-        diagnostics = RecoveryDiagnostics(residual=0.0, eigen_gap=None, rank=0)
         return RecoveredSpectrum(np.zeros(grid.n_frequencies, dtype=complex),
-                                 diagnostics)
+                                 RecoveryDiagnostics())
 
     k = int(np.frexp(data.values.max())[1]) // 2
     data = replace(data, values=np.ldexp(data.values, -2 * k))
     system = cached_system(window, grid)
     f, diagnostics = solve_band(system, data, cfg)
-    if cfg.refine_iterations > 0:
-        f, diagnostics.refine_residual, diagnostics.refine_sweeps = \
-            _refine_rank_one(system, data.values, f, cfg)
+    f, diagnostics.refine_residual, diagnostics.refine_sweeps = \
+        _refine_rank_one(system, data.values, f, cfg)
     spectrum = angular_synchronize(f)
-    spectrum.f_hat = spectrum.f_hat * 2.0 ** k
     diagnostics.eigen_gap = spectrum.diagnostics.eigen_gap
-    spectrum.diagnostics = diagnostics
-    return spectrum
+    return RecoveredSpectrum(spectrum.f_hat * 2.0 ** k, diagnostics)

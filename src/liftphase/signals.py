@@ -123,9 +123,10 @@ def gaussian_window() -> Window:
 
 
 def phase_rotated(signal: Signal, theta: float) -> Signal:
-    """The same signal multiplied by a global unimodular factor e^{i theta}."""
+    """The same signal, under its name, times a global unimodular factor
+    e^{i theta}, which no spectrogram and no aligned error can see."""
     factor = complex(np.exp(1j * theta))
-    return Signal(f"{signal.name}*e^(i{theta:g})",
+    return Signal(signal.name,
                   lambda t, _f=factor, _s=signal: _f * _s.evaluate(t))
 
 

@@ -1,11 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liftphase import cli, lifting, recovery
+from liftphase import cli, forward, lifting, recovery
 from liftphase.exceptions import ConfigError, DimensionError
 
 
@@ -328,6 +330,49 @@ class TestRecoverCommand:
         assert f"unknown {key} {name!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_phase_rotated_measurement_recovers_against_its_signal(
+            self, tmp_path, capsys, window, gaussian):
+        # no spectrogram sees a global phase, and the aligned error removes
+        # one, so a rotated signal's file names the catalog signal
+        import liftphase as lp
+        grid = lp.half_integer_grid(21, 7, 0.5 / 7.0, 3)
+        lines = []
+        for name, signal in (("plain", gaussian),
+                             ("rotated", lp.phase_rotated(gaussian, 0.5))):
+            doc = lp.measure(signal, window, grid, method="series").to_dict()
+            assert doc["signal"] == "gaussian"
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run_cli(["recover", str(path), "--out",
+                            str(tmp_path / name)]) == 0
+            lines.append(capsys.readouterr().out)
+        errors = [re.search(r"aligned_error=(\S+)", line).group(1)
+                  for line in lines]
+        assert errors == ["1.952132e-03"] * 2
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_bad_shift_leaves_no_directory_it_made(
+            self, tmp_path, capsys, small_measurement, existing):
+        # the shift is checked when the system is assembled, after the
+        # output directory is made: the failed run removes the directories
+        # it made, and only those
+        doc = json.loads(small_measurement.read_text())
+        doc["grid"]["shifts"][0] = -0.7
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "rec" / "nested"
+        if existing:
+            out.mkdir(parents=True)
+        capsys.readouterr()
+        assert run_cli(["recover", str(path), "--out", str(out)]) \
+            == cli.EXIT_CONFIG
+        assert "shift -0.7 outside" in capsys.readouterr().err
+        if existing:
+            assert out.is_dir() and list(out.iterdir()) == []
+        else:
+            assert not (tmp_path / "rec").exists()
+
     def test_zero_signal_file_exits_numerical(self, tmp_path, capsys):
         # the zero signal has no norm to measure an error against
         sim = tmp_path / "sim"
@@ -338,7 +383,7 @@ class TestRecoverCommand:
         assert run_cli(["recover", str(sim / "measurement.json"), "--out",
                         str(out)]) == cli.EXIT_NUMERICAL
         assert "reference signal vanishes" in capsys.readouterr().err
-        assert set(out.iterdir()) == set()
+        assert not out.exists()
 
     def test_internal_shape_error_is_not_a_config_error(
             self, tmp_path, monkeypatch, small_measurement):
@@ -363,8 +408,7 @@ class TestRecoverCommand:
             assert run_cli(["recover", str(bad), "--out",
                             str(tmp_path / "rec")]) == cli.EXIT_CONFIG
         config = tmp_path / "config.json"
-        config.write_text('{"recovery": {"refine_iterations": 1' + "0" * 5000
-                          + "}}")
+        config.write_text('{"grid": {"delta": 1' + "0" * 5000 + "}}")
         assert run_cli(["simulate", "--config", str(config), "--out",
                         str(tmp_path / "sim")]) == cli.EXIT_CONFIG
 
@@ -391,6 +435,47 @@ class TestExperiment:
                      "reconstruction.csv", "metrics.json"):
             assert (out / name).exists()
 
+    def test_artifacts_write_the_whole_diagnostics_record(self, tmp_path):
+        from dataclasses import fields
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"grid": SMALL_GRID}))
+        out = tmp_path / "exp"
+        assert run_cli(["experiment", "paper-1", "--method", "series",
+                        "--config", str(cfg_path), "--out", str(out)]) == 0
+        spectrum = json.loads((out / "spectrum.json").read_text())
+        assert list(spectrum["diagnostics"]) == [
+            field.name for field in fields(recovery.RecoveryDiagnostics)]
+        metrics = json.loads((out / "metrics.json").read_text())
+        for key, value in spectrum["diagnostics"].items():
+            assert metrics[key] == value
+        assert metrics["refine_residual"] > 0
+        assert 0 <= metrics["clamped_fraction"] < 1
+        assert "window" not in metrics["config"]
+        assert set(metrics["config"]["recovery"]) == {"rank_tol"}
+
+    def test_unmakeable_out_exits_io_before_measuring(self, tmp_path,
+                                                      monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("measured before the output directory")
+
+        monkeypatch.setattr(forward, "measure", forbidden)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli(["experiment", "paper-1", "--out",
+                        str(blocker / "sub")]) == cli.EXIT_IO
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", [["simulate"],
+                                         ["experiment", "paper-1"]])
+    def test_window_flag_is_gone(self, tmp_path, capsys, command):
+        # the catalog has one window, so the flag could take one value only
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*command, "--window", "gaussian", "--out", str(out)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_noise_flag_is_noop(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -409,7 +494,7 @@ class TestExperiment:
         code = run_cli(["experiment", "paper-1", "--method", "series",
                         "--signal", "zero", "--out", str(out)])
         assert code == cli.EXIT_NUMERICAL
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_grid_too_small_for_delta_exits_config(self, tmp_path):
         # delta = 6 needs 4*6 + 1 = 25 frequencies; the grid has 21
@@ -456,7 +541,7 @@ class TestExperiment:
                         "--config", str(cfg_path), "--out", str(out)])
         assert code == cli.EXIT_NUMERICAL
         assert "SVD did not converge" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch):
         # the third of four artifacts fails to write: the two already
@@ -475,7 +560,7 @@ class TestExperiment:
         code = run_cli(["experiment", "paper-1", "--method", "series",
                         "--config", str(cfg_path), "--out", str(out)])
         assert code == cli.EXIT_IO
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_noise_level_recorded_in_artifact(self, tmp_path):
         out = tmp_path / "noisy"
@@ -491,7 +576,7 @@ class TestConfigResolution:
         cfg_path.write_text(json.dumps({
             "signal": "modulated",
             "method": "series",
-            "recovery": {"refine_iterations": 0},
+            "recovery": {"rank_tol": 1e-8},
         }))
         out = tmp_path / "out"
         code = run_cli(["simulate", "--config", str(cfg_path),
@@ -512,6 +597,9 @@ class TestConfigResolution:
         ({"grid": {"detla": 9}}, "grid.detla"),
         ({"recovery": {"out_dir": "leaked"}}, "recovery.out_dir"),
         ({"recovery": {"magnitude_floor": 1e-3}}, "recovery.magnitude_floor"),
+        # settings that could take one value only
+        ({"window": "gaussian"}, "window"),
+        ({"recovery": {"refine_iterations": 30}}, "recovery.refine_iterations"),
     ])
     def test_unknown_key_is_named(self, tmp_path, capsys, document, key):
         cfg_path = tmp_path / "config.json"
@@ -598,9 +686,26 @@ class TestConfigResolution:
             "grid": {"preset": "custom", "n_frequencies": 21, "n_shifts": 7,
                      "shift_spacing": 0.1, "delta": 3},
             "noise": {"seed": 4, "level": 0.01},
-            "recovery": {"rank_tol": 1e-8, "refine_iterations": 5},
+            "recovery": {"rank_tol": 1e-8},
         })
         assert resolve(first.to_dict()) == first
+
+    def test_readme_config_table_lists_the_reader_keys(self):
+        # the README's config table names every key the reader accepts
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        table = readme.split("| key | default | meaning |", 1)[1]
+        rows = table.split("\n\n", 1)[0].splitlines()[2:]
+        documented = {key for row in rows
+                      for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+
+        def leaves(table, where=""):
+            for key, target in table.items():
+                if isinstance(target, dict):
+                    yield from leaves(target, f"{where}{key}.")
+                else:
+                    yield where + key
+        assert documented == set(leaves(cli.CONFIG_KEYS))
 
     def test_bad_json_config(self, tmp_path):
         cfg_path = tmp_path / "config.json"
@@ -622,6 +727,8 @@ class TestConfigResolution:
         {"recovery": {"max_power_iters": 1}},
         {"noise": {"level": 10 ** 400}},
         {"noise": {"level": 1e308}},
+        {"window": "gaussian"},
+        {"recovery": {"refine_iterations": 30}},
     ])
     def test_wrongly_typed_config_exits_config(self, tmp_path, document):
         cfg_path = tmp_path / "config.json"

@@ -51,14 +51,12 @@ documents = st.fixed_dictionaries({
     }),
 }, optional={
     "signal": values(["gaussian", "modulated"], ["zero", "mystery", 3]),
-    "window": values(["gaussian", None], ["boxcar"]),
     "method": values(["series", "quadrature", None], ["exact"]),
     "noise": section(seed=values([0, 7, 2 ** 40, None], [-1, 1.5]),
                      level=values([0.0, 1e-3, 0.5],
                                   [2.0, -1e-3, float("nan")])),
     "recovery": section(
-        rank_tol=values([1e-10, 1e-2], [1.0, 0.0, -1.0, "tight"]),
-        refine_iterations=values([0, 3, None], [-1, 2.5])),
+        rank_tol=values([1e-10, 1e-2], [1.0, 0.0, -1.0, "tight"])),
 })
 
 flags = st.lists(st.sampled_from([
