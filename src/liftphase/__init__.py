@@ -2,10 +2,10 @@
 magnitude-only short-time Fourier samples.
 
 The pipeline lifts the quadratic measurements to a linear system on a
-banded outer-product matrix, inverts it by minimum-norm least squares with
-an optional rank-one consistency refinement, recovers phases by eigenvector
-angular synchronization, and synthesizes the signal from its half-integer
-Fourier samples.
+banded outer-product matrix, inverts it by minimum-norm least squares and a
+rank-one consistency refinement, recovers phases by eigenvector angular
+synchronization, and synthesizes the signal from its half-integer Fourier
+samples.
 """
 
 from .exceptions import (ConfigError, DecompositionFailure, DegenerateSpectrum,

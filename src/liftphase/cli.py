@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import forward, lifting, recovery, signals, synthesis
 from .exceptions import (ConfigError, DecompositionFailure, DegenerateSpectrum,
                          GridError, LiftphaseError, NonConvergence, ZeroSignal)
 
-__all__ = ["main", "ExperimentConfig"]
+__all__ = ["main"]
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -98,57 +99,35 @@ def _staged(out_dir: Path):
                 directory.rmdir()
 
 
-#: Config-file layout: file key -> ExperimentConfig field, with a nested
-#: table per section.  ``grid.preset`` maps to no field (see _check_preset).
-#: Any key not listed here is rejected.
+#: The config file's layout, with each setting's default.  A file value must
+#: have its default's type, and any key not listed here is rejected.  The
+#: ``grid``, ``noise`` and ``recovery`` sections are the keyword arguments of
+#: forward.half_integer_grid, forward.NoiseSpec and recovery.RecoveryConfig.
+#: ``grid.preset`` is no setting: it is only checked (see _check_preset).
 CONFIG_KEYS = {
-    "signal": "signal",
-    "method": "method",
-    "out": "out_dir",
-    "grid": {"preset": None, "n_frequencies": "n_frequencies",
-             "n_shifts": "n_shifts", "shift_spacing": "shift_spacing",
-             "delta": "delta"},
-    "noise": {"seed": "noise_seed", "level": "noise_level"},
-    "recovery": {"rank_tol": "rank_tol"},
+    "signal": "gaussian",
+    "method": "quadrature",
+    "out": "out",
+    "grid": {"n_frequencies": 61, "n_shifts": 11, "shift_spacing": 0.5 / 11.0,
+             "delta": 7},
+    "noise": {"seed": 0, "level": 0.0},
+    "recovery": {"rank_tol": 1e-10},
 }
-_GRID_SIZE_KEYS = ("n_frequencies", "n_shifts", "shift_spacing")
 #: Keys that describe the measurement.  ``recover`` takes them from its
 #: measurement file, so its config file may not set them.
 _MEASUREMENT_KEYS = ("signal", "method", "grid", "noise")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    signal: str = "gaussian"
-    n_frequencies: int = 61
-    n_shifts: int = 11
-    shift_spacing: float = 0.5 / 11.0
-    delta: int = 7
-    method: str = "quadrature"
-    noise_seed: int = 0
-    noise_level: float = 0.0
-    rank_tol: float = 1e-10
-    out_dir: str = "out"
+class _Settings:
+    """The resolved config document, in the layout of CONFIG_KEYS, and the
+    pipeline objects built from it."""
 
-    def grid(self) -> forward.MeasurementGrid:
-        return forward.half_integer_grid(self.n_frequencies, self.n_shifts,
-                                         self.shift_spacing, self.delta)
-
-    def noise(self) -> forward.NoiseSpec:
-        return forward.NoiseSpec(self.noise_seed, self.noise_level)
-
-    def recovery_config(self) -> recovery.RecoveryConfig:
-        return recovery.RecoveryConfig(rank_tol=self.rank_tol)
-
-    def to_dict(self) -> dict:
-        """The resolved configuration in config-file layout.  The output
-        directory is left out: it does not change any result."""
-        def section(table):
-            return {key: section(target) if isinstance(target, dict)
-                    else getattr(self, target)
-                    for key, target in table.items()
-                    if target not in (None, "out_dir")}
-        return section(CONFIG_KEYS)
+    document: dict
+    signal: signals.Signal
+    grid: forward.MeasurementGrid
+    noise: forward.NoiseSpec
+    recovery_config: recovery.RecoveryConfig
 
 
 def _read_document(path, what: str) -> dict:
@@ -173,44 +152,51 @@ class _IOFailure(LiftphaseError):
 
 
 def _build_config(args, preset: dict | None = None,
-                  measures: bool = True) -> ExperimentConfig:
-    updates = dict(preset or {})
+                  measures: bool = True) -> _Settings:
+    document = copy.deepcopy(CONFIG_KEYS)
+    document.update(preset or {})
     if getattr(args, "config", None):
         doc = _read_document(args.config, "config")
         if not measures:
             _reject_measurement_keys(doc)
-        updates.update(_read_keys(doc, CONFIG_KEYS, ""))
+        _read_keys(doc, document, "")
         _check_preset(doc.get("grid") or {})
-    # flags override the file
-    for attr, flag in (("signal", "signal"), ("method", "method"),
-                       ("delta", "delta"), ("noise_level", "noise_level"),
-                       ("noise_seed", "seed"), ("out_dir", "out")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            updates[attr] = val
-    cfg = replace(ExperimentConfig(), **updates)
-    _validate_config(cfg)
-    return cfg
+    # flags override the file; each sets a key of a section (None: the top)
+    for flag, section, key in (
+            ("signal", None, "signal"), ("method", None, "method"),
+            ("delta", "grid", "delta"), ("noise_level", "noise", "level"),
+            ("seed", "noise", "seed"), ("out", None, "out")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            (document[section] if section else document)[key] = value
+    grid = document["grid"]
+    signal = signals.get_signal(document["signal"])
+    noise = forward.NoiseSpec(**document["noise"])
+    recovery_config = recovery.RecoveryConfig(**document["recovery"])
+    # checked from the sizes alone: the lattice of a huge grid would not fit
+    lifting.check_matrix_budget(grid["n_frequencies"], grid["n_shifts"],
+                                grid["delta"])
+    return _Settings(document, signal, forward.half_integer_grid(**grid),
+                     noise, recovery_config)
 
 
-def _read_keys(doc: dict, table: dict, where: str) -> dict:
-    """Field updates from one level of a config document.  Null values count
-    as absent; a key the table does not list, or a value of the wrong type,
-    raises ConfigError."""
-    updates = {}
+def _read_keys(doc: dict, settings: dict, where: str) -> None:
+    """Write one level of a config document into ``settings``, the same
+    level of the resolved document; null values count as absent.  An
+    unknown key, or a value not of its default's type, raises ConfigError."""
     for key, value in doc.items():
-        if key not in table:
+        if where + key == "grid.preset":
+            continue  # no setting: _check_preset checks it
+        if key not in settings:
             raise ConfigError(f"unknown config key {where + key!r}")
-        target = table[key]
-        if isinstance(target, dict):
+        default = settings[key]
+        if isinstance(default, dict):
             if value is not None and not isinstance(value, dict):
                 raise ConfigError(f"config section {key!r} must be an object")
-            updates.update(_read_keys(value or {}, target, f"{where}{key}."))
-        elif target is not None and value is not None:
-            forward.check_type(where + key,
-                               type(getattr(ExperimentConfig, target)), value)
-            updates[target] = value
-    return updates
+            _read_keys(value or {}, default, f"{where}{key}.")
+        elif value is not None:
+            forward.check_type(where + key, type(default), value)
+            settings[key] = value
 
 
 def _reject_measurement_keys(doc: dict) -> None:
@@ -234,32 +220,26 @@ def _check_preset(grid_doc: dict) -> None:
     preset = grid_doc.get("preset")
     if preset not in (None, "paper", "custom"):
         raise ConfigError(f"grid.preset must be 'paper' or 'custom', got {preset!r}")
-    sizes = [key for key in _GRID_SIZE_KEYS if key in grid_doc]
+    sizes = [key for key in CONFIG_KEYS["grid"]
+             if key != "delta" and key in grid_doc]
     if preset == "paper" and sizes:
         raise ConfigError(f"grid.preset 'paper' fixes the grid size; drop {sizes} "
                           f"or say 'custom'")
 
 
-def _validate_config(cfg: ExperimentConfig) -> None:
-    signals.get_signal(cfg.signal)
-    cfg.noise()
-    cfg.recovery_config()
-    lifting.check_matrix_budget(cfg.n_frequencies, cfg.n_shifts, cfg.delta)
-    cfg.grid()
-
-
-def _simulate(cfg: ExperimentConfig):
-    """The configured signal, the window, and the data measured with them."""
-    truth, window = signals.get_signal(cfg.signal), signals.get_window("gaussian")
-    return truth, window, forward.measure(truth, window, cfg.grid(),
-                                          method=cfg.method, noise=cfg.noise())
+def _simulate(cfg: _Settings):
+    """The window, and the configured signal measured with it."""
+    window = signals.get_window("gaussian")
+    return window, forward.measure(cfg.signal, window, cfg.grid,
+                                   method=cfg.document["method"],
+                                   noise=cfg.noise)
 
 
 def cmd_simulate(args) -> int:
     cfg = _build_config(args)
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.document["out"])
     with _staged(out_dir) as stage:
-        _, _, data = _simulate(cfg)
+        _, data = _simulate(cfg)
         write_json(stage("measurement.json"), data.to_dict())
     print(f"wrote {out_dir / 'measurement.json'}")
     print(f"N={data.grid.n_frequencies} K={data.grid.n_shifts} "
@@ -267,10 +247,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _recover_from_data(cfg: ExperimentConfig, data: forward.SpectrogramData,
+def _recover_from_data(cfg: _Settings, data: forward.SpectrogramData,
                        window: signals.Window, truth: signals.Signal | None,
                        stage) -> dict:
-    spectrum = recovery.recover(data, window, cfg=cfg.recovery_config())
+    spectrum = recovery.recover(data, window, cfg=cfg.recovery_config)
     reconstruction = synthesis.synthesize(spectrum, synthesis.default_grid())
     error = (None if truth is None
              else synthesis.aligned_relative_error(reconstruction, truth))
@@ -289,11 +269,9 @@ def cmd_recover(args) -> int:
     cfg = _build_config(args, measures=False)
     data = forward.SpectrogramData.from_dict(
         _read_document(args.measurement, "measurement"))
-    grid = data.grid
-    lifting.check_matrix_budget(grid.n_frequencies, grid.n_shifts, grid.delta)
     window = signals.get_window(data.window)
     truth = None if data.signal is None else signals.get_signal(data.signal)
-    with _staged(Path(cfg.out_dir)) as stage:
+    with _staged(Path(cfg.document["out"])) as stage:
         _recover_from_data(cfg, data, window, truth, stage)
     return 0
 
@@ -304,16 +282,17 @@ def cmd_experiment(args) -> int:
         raise ConfigError(f"unknown experiment {args.name!r}; "
                           f"have {sorted(EXPERIMENT_PRESETS)}")
     cfg = _build_config(args, preset=preset)
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.document["out"])
     with _staged(out_dir) as stage:
         t0 = time.perf_counter()
-        truth, window, data = _simulate(cfg)
+        window, data = _simulate(cfg)
         t1 = time.perf_counter()
-        metrics = _recover_from_data(cfg, data, window, truth, stage)
+        metrics = _recover_from_data(cfg, data, window, cfg.signal, stage)
         t2 = time.perf_counter()
         write_json(stage("measurement.json"), data.to_dict())
+        config = {k: v for k, v in cfg.document.items() if k != "out"}
         write_json(stage("metrics.json"), {"experiment": args.name, **metrics,
-                                           "config": cfg.to_dict()})
+                                           "config": config})
     print(f"stage timings: measure {t1 - t0:.2f}s, recover {t2 - t1:.2f}s")
     print(f"artifacts in {out_dir}")
     return 0

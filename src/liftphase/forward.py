@@ -88,8 +88,10 @@ def half_integer_grid(n_frequencies: int, n_shifts: int, shift_spacing: float,
                       delta: int) -> MeasurementGrid:
     """Half-step frequency lattice with shifts centered about zero."""
     freqs = half_integer_lattice(n_frequencies)
-    if n_shifts < 1 or shift_spacing <= 0:
-        raise GridError("need n_shifts >= 1 and positive shift_spacing")
+    if not (n_shifts >= 1 and shift_spacing > 0
+            and math.isfinite((n_shifts - 1) * shift_spacing)):
+        raise GridError("need n_shifts >= 1, positive shift_spacing and a "
+                        "finite shift span (n_shifts - 1) * shift_spacing")
     center = (n_shifts + 1) / 2.0
     shifts = (np.arange(1, n_shifts + 1) - center) * shift_spacing
     return MeasurementGrid(tuple(shifts), tuple(freqs), delta)

@@ -33,7 +33,7 @@ _SQRT2 = np.sqrt(2.0)
 #: Imaginary parts of the window kernels at most this times their largest
 #: modulus lie inside the SVD's own backward error.
 _SPLIT_FLOOR = 8 * np.finfo(float).eps
-#: Largest dense lifted matrix, in bytes, that a config file may ask for.
+#: Largest dense lifted matrix, in bytes, that a LiftedSystem may build.
 MATRIX_BUDGET = 2 * 2 ** 30
 
 
@@ -68,7 +68,8 @@ class LiftedSystem:
     thin SVD are each computed from the phases and the kernels on first
     access and cached for repeated solves; the SVD does not read the
     matrix.  Both are computed under a per-system lock, so concurrent first
-    accesses compute each once.
+    accesses compute each once.  A grid whose matrix would pass
+    ``MATRIX_BUDGET`` raises ConfigError before anything is built.
 
     The thin SVD is taken in two shift-parity blocks when the operator
     splits.  The sum of the rows of +l and -l over sqrt(2) carries
@@ -87,6 +88,7 @@ class LiftedSystem:
 
     def __init__(self, window: Window, grid: MeasurementGrid):
         n = grid.n_frequencies
+        check_matrix_budget(n, grid.n_shifts, grid.delta)
         for l in grid.shifts:
             check_shift(window, l)
         self.grid = grid

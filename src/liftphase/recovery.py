@@ -57,14 +57,15 @@ MAX_POWER_ITERS = 50000
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Tolerance of the inversion pipeline: ``rank_tol`` is the relative
-    singular-value cutoff of the least-squares solve and the refinement."""
+    """Tolerance of the inversion pipeline: ``rank_tol``, in (0, 1), is the
+    relative singular-value cutoff of the least-squares solve and the
+    refinement."""
 
     rank_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.rank_tol <= 0:
-            raise ConfigError("rank_tol must be positive")
+        if not 0 < self.rank_tol < 1:
+            raise ConfigError(f"rank_tol must lie in (0, 1), got {self.rank_tol!r}")
 
 
 @dataclass

@@ -644,13 +644,13 @@ class TestConfigResolution:
 
     def test_measurement_grid_past_the_budget_exits_config(
             self, tmp_path, capsys, monkeypatch, small_measurement):
-        # a measurement file lists its grid, so recover checks that grid
-        from liftphase import recovery
-
+        # a measurement file lists its grid, and the lifted system checks
+        # that grid's budget before it builds a row of its matrix
         def forbidden(*args):
-            raise AssertionError("a system past the budget was assembled")
+            raise AssertionError("a matrix past the budget was built")
 
-        monkeypatch.setattr(recovery, "assemble_system", forbidden)
+        monkeypatch.setattr(recovery, "_system_cache", {})
+        monkeypatch.setattr(lifting.LiftedSystem, "_block", forbidden)
         monkeypatch.setattr(lifting, "MATRIX_BUDGET", 8 * 3 * 21 * 21)
         out = tmp_path / "out"
         assert run_cli(["recover", str(small_measurement), "--out",
@@ -674,12 +674,13 @@ class TestConfigResolution:
         assert len(doc["b"]) == 147
 
     def test_resolved_config_reads_back(self, tmp_path):
-        # to_dict writes the config-file layout the reader accepts
+        # the resolved document is in the config-file layout the reader
+        # accepts, and reading it back resolves to itself
         def resolve(document):
             path = tmp_path / "config.json"
             path.write_text(json.dumps(document))
             return cli._build_config(cli._parser().parse_args(
-                ["simulate", "--config", str(path)]))
+                ["simulate", "--config", str(path)])).document
 
         first = resolve({
             "signal": "modulated", "method": "series",
@@ -688,7 +689,9 @@ class TestConfigResolution:
             "noise": {"seed": 4, "level": 0.01},
             "recovery": {"rank_tol": 1e-8},
         })
-        assert resolve(first.to_dict()) == first
+        assert first["grid"] == {"n_frequencies": 21, "n_shifts": 7,
+                                 "shift_spacing": 0.1, "delta": 3}
+        assert resolve(first) == first
 
     def test_readme_config_table_lists_the_reader_keys(self):
         # the README's config table names every key the reader accepts
@@ -700,12 +703,12 @@ class TestConfigResolution:
                       for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
 
         def leaves(table, where=""):
-            for key, target in table.items():
-                if isinstance(target, dict):
-                    yield from leaves(target, f"{where}{key}.")
+            for key, default in table.items():
+                if isinstance(default, dict):
+                    yield from leaves(default, f"{where}{key}.")
                 else:
                     yield where + key
-        assert documented == set(leaves(cli.CONFIG_KEYS))
+        assert documented == {*leaves(cli.CONFIG_KEYS), "grid.preset"}
 
     def test_bad_json_config(self, tmp_path):
         cfg_path = tmp_path / "config.json"
@@ -729,6 +732,9 @@ class TestConfigResolution:
         {"noise": {"level": 1e308}},
         {"window": "gaussian"},
         {"recovery": {"refine_iterations": 30}},
+        {"grid": {"shift_spacing": 1e308}},
+        {"recovery": {"rank_tol": 1.0}},
+        {"recovery": {"rank_tol": 1.7e308}},
     ])
     def test_wrongly_typed_config_exits_config(self, tmp_path, document):
         cfg_path = tmp_path / "config.json"
@@ -740,6 +746,28 @@ class TestConfigResolution:
             capture_output=True, text=True, timeout=300)
         assert result.returncode == cli.EXIT_CONFIG
         assert "Traceback" not in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", [
+        {"grid": {"shift_spacing": 1e308}},
+        {"recovery": {"rank_tol": 1.0}},
+        {"recovery": {"rank_tol": 1.7e308}},
+    ], ids=["spacing-1e308", "rank-tol-1", "rank-tol-1.7e308"])
+    def test_out_of_range_setting_exits_before_measuring(
+            self, tmp_path, monkeypatch, document):
+        # an infinite shift span overflows the grid's multiply, and a
+        # rank_tol of 1 or more keeps no singular value
+        def forbidden(*args, **kwargs):
+            raise AssertionError("measured with a setting out of range")
+
+        monkeypatch.setattr(cli.forward, "measure", forbidden)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(document))
+        out = tmp_path / "out"
+        assert run_cli(["experiment", "paper-1", "--method", "series",
+                        "--config", str(cfg_path), "--out", str(out)]) \
+            == cli.EXIT_CONFIG
         assert not out.exists()
 
 

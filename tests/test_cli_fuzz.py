@@ -47,7 +47,7 @@ documents = st.fixed_dictionaries({
         "preset": values([None, "custom"], ["paper", "bogus"]),
         "n_shifts": values([1, 2, 5, 7], [0, -3, 2.5, "7"]),
         "shift_spacing": values([0.5 / 7.0, 0.05],
-                                [0.2, 0.0, -0.1, float("inf"), "x"]),
+                                [0.2, 0.0, -0.1, float("inf"), 1e308, "x"]),
     }),
 }, optional={
     "signal": values(["gaussian", "modulated"], ["zero", "mystery", 3]),
@@ -56,7 +56,7 @@ documents = st.fixed_dictionaries({
                      level=values([0.0, 1e-3, 0.5],
                                   [2.0, -1e-3, float("nan")])),
     "recovery": section(
-        rank_tol=values([1e-10, 1e-2], [1.0, 0.0, -1.0, "tight"])),
+        rank_tol=values([1e-10, 1e-2], [1.0, 1.7e308, 0.0, -1.0, "tight"])),
 })
 
 flags = st.lists(st.sampled_from([
@@ -107,6 +107,16 @@ def run_in_process(argv):
 @hypothesis.example(document={"grid": {"n_frequencies": 21, "delta": 3}},
                     command=["simulate"], measured=False,
                     extra_flags=[["--method", "series"], ["--noise-level", "inf"]])
+# a finite spacing whose shift span is not overflows the grid's multiply
+@hypothesis.example(document={"grid": {"n_frequencies": 21, "delta": 3,
+                                       "shift_spacing": 1e308}},
+                    command=["simulate"], measured=False,
+                    extra_flags=[["--method", "series"]])
+# a rank_tol near the float limit overflows the singular-value cutoff
+@hypothesis.example(document={"grid": {"n_frequencies": 21, "delta": 3},
+                              "recovery": {"rank_tol": 1.7e308}},
+                    command=["experiment", "paper-1"], measured=False,
+                    extra_flags=[["--method", "series"]])
 def test_any_config_exits_documented_code(measurement_file, document, command,
                                           extra_flags, measured):
     if command == ["recover"]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import liftphase as lp
-from liftphase import recovery
+from liftphase import lifting, recovery
 from liftphase.exceptions import (ConfigError, DegenerateSpectrum,
                                   DimensionError)
 
@@ -307,8 +307,25 @@ class TestRecover:
         assert spectrum.diagnostics.eigen_gap > 1.0
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            lp.RecoveryConfig(rank_tol=0.0)
+        # a relative cutoff of 1 or more keeps no singular value
+        for rank_tol in (0.0, 1.0, 1.7e308, float("nan")):
+            with pytest.raises(ConfigError, match="rank_tol"):
+                lp.RecoveryConfig(rank_tol=rank_tol)
+
+    def test_recover_checks_the_budget_before_building(self, window, gaussian,
+                                                       monkeypatch):
+        # the library path, too, refuses a lifted matrix past the budget
+        # before it builds any row of it
+        def forbidden(*args):
+            raise AssertionError("a matrix past the budget was built")
+
+        grid = lp.half_integer_grid(21, 3, 0.1, 2)
+        data = lp.measure(gaussian, window, grid, method="series")
+        monkeypatch.setattr(recovery, "_system_cache", {})
+        monkeypatch.setattr(lp.LiftedSystem, "_block", forbidden)
+        monkeypatch.setattr(lifting, "MATRIX_BUDGET", 8 * 3 * 21 * 21)
+        with pytest.raises(ConfigError, match="lifted matrix"):
+            lp.recover(data, window)
 
     def test_system_cache_shares_instances(self, window, grid):
         # the grid is its own key: equal grids share, unequal ones do not
