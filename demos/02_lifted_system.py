@@ -54,7 +54,7 @@ print(f"margin of s_671 over the numerical-zero scale eps*s_1: "
       f"{s[-1] / (eps * s[0]):.2e}")
 
 print("\n== lifted operator on the true outer product ==")
-truth = lp.fourier_samples(lp.get_signal("gaussian"), grid.frequencies)
+truth = lp.get_signal("gaussian").fourier(grid.frequencies)
 lifted = system.matrix @ system.pack(np.outer(truth, truth.conj()))
 print(f"real matrix {system.matrix.shape}, {system.matrix.nbytes / 1e6:.1f} MB")
 

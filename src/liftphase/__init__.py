@@ -19,8 +19,8 @@ from .kernels import (BandedMatrix, QuadratureSpec, integrate_complex,
 from .lifting import LiftedSystem, assemble_system
 from .recovery import (RecoveredSpectrum, RecoveryConfig, RecoveryDiagnostics,
                        angular_synchronize, cached_system, recover, solve_band)
-from .signals import (Signal, Window, fourier_samples, gaussian_specimen,
-                      gaussian_window, get_signal, get_window, modulated_specimen,
+from .signals import (Signal, Window, gaussian_specimen, gaussian_window,
+                      get_signal, get_window, modulated_specimen,
                       phase_rotated, signal_names, zero_specimen)
 from .synthesis import (PhysicalReconstruction, aligned_relative_error,
                         default_grid, synthesize, write_reconstruction_csv)

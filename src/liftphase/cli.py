@@ -101,21 +101,16 @@ def _staged(out_dir: Path):
 
 #: The config file's layout, with each setting's default.  A file value must
 #: have its default's type, and any key not listed here is rejected.  The
-#: ``grid``, ``noise`` and ``recovery`` sections are the keyword arguments of
-#: forward.half_integer_grid, forward.NoiseSpec and recovery.RecoveryConfig.
-#: ``grid.preset`` is no setting: it is only checked (see _check_preset).
+#: ``grid`` and ``noise`` sections are the keyword arguments of
+#: forward.half_integer_grid and forward.NoiseSpec.  ``grid.preset`` is no
+#: setting: it is only checked (see _check_preset).
 CONFIG_KEYS = {
     "signal": "gaussian",
     "method": "quadrature",
     "out": "out",
-    "grid": {"n_frequencies": 61, "n_shifts": 11, "shift_spacing": 0.5 / 11.0,
-             "delta": 7},
+    "grid": dict(forward.PAPER_GRID),
     "noise": {"seed": 0, "level": 0.0},
-    "recovery": {"rank_tol": 1e-10},
 }
-#: Keys that describe the measurement.  ``recover`` takes them from its
-#: measurement file, so its config file may not set them.
-_MEASUREMENT_KEYS = ("signal", "method", "grid", "noise")
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,6 @@ class _Settings:
     signal: signals.Signal
     grid: forward.MeasurementGrid
     noise: forward.NoiseSpec
-    recovery_config: recovery.RecoveryConfig
 
 
 def _read_document(path, what: str) -> dict:
@@ -151,14 +145,11 @@ class _IOFailure(LiftphaseError):
     pass
 
 
-def _build_config(args, preset: dict | None = None,
-                  measures: bool = True) -> _Settings:
+def _build_config(args, preset: dict | None = None) -> _Settings:
     document = copy.deepcopy(CONFIG_KEYS)
     document.update(preset or {})
-    if getattr(args, "config", None):
+    if args.config:
         doc = _read_document(args.config, "config")
-        if not measures:
-            _reject_measurement_keys(doc)
         _read_keys(doc, document, "")
         _check_preset(doc.get("grid") or {})
     # flags override the file; each sets a key of a section (None: the top)
@@ -166,18 +157,16 @@ def _build_config(args, preset: dict | None = None,
             ("signal", None, "signal"), ("method", None, "method"),
             ("delta", "grid", "delta"), ("noise_level", "noise", "level"),
             ("seed", "noise", "seed"), ("out", None, "out")):
-        value = getattr(args, flag, None)
+        value = getattr(args, flag)
         if value is not None:
             (document[section] if section else document)[key] = value
     grid = document["grid"]
     signal = signals.get_signal(document["signal"])
     noise = forward.NoiseSpec(**document["noise"])
-    recovery_config = recovery.RecoveryConfig(**document["recovery"])
     # checked from the sizes alone: the lattice of a huge grid would not fit
     lifting.check_matrix_budget(grid["n_frequencies"], grid["n_shifts"],
                                 grid["delta"])
-    return _Settings(document, signal, forward.half_integer_grid(**grid),
-                     noise, recovery_config)
+    return _Settings(document, signal, forward.half_integer_grid(**grid), noise)
 
 
 def _read_keys(doc: dict, settings: dict, where: str) -> None:
@@ -197,20 +186,6 @@ def _read_keys(doc: dict, settings: dict, where: str) -> None:
         elif value is not None:
             forward.check_type(where + key, type(default), value)
             settings[key] = value
-
-
-def _reject_measurement_keys(doc: dict) -> None:
-    """Raise ConfigError naming the first measurement key the document sets
-    (null values count as absent, as in :func:`_read_keys`)."""
-    for key in _MEASUREMENT_KEYS:
-        value = doc.get(key)
-        if isinstance(value, dict):
-            value = {sub: v for sub, v in value.items() if v is not None}
-            key = f"{key}.{next(iter(value))}" if value else key
-        if value is not None and value != {}:
-            raise ConfigError(
-                f"config key {key!r} does not apply to recover: the "
-                f"measurement file fixes what was measured")
 
 
 def _check_preset(grid_doc: dict) -> None:
@@ -247,10 +222,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _recover_from_data(cfg: _Settings, data: forward.SpectrogramData,
-                       window: signals.Window, truth: signals.Signal | None,
-                       stage) -> dict:
-    spectrum = recovery.recover(data, window, cfg=cfg.recovery_config)
+def _recover_from_data(data: forward.SpectrogramData, window: signals.Window,
+                       truth: signals.Signal | None, stage) -> dict:
+    spectrum = recovery.recover(data, window)
     reconstruction = synthesis.synthesize(spectrum, synthesis.default_grid())
     error = (None if truth is None
              else synthesis.aligned_relative_error(reconstruction, truth))
@@ -266,13 +240,12 @@ def _recover_from_data(cfg: _Settings, data: forward.SpectrogramData,
 
 
 def cmd_recover(args) -> int:
-    cfg = _build_config(args, measures=False)
     data = forward.SpectrogramData.from_dict(
         _read_document(args.measurement, "measurement"))
     window = signals.get_window(data.window)
     truth = None if data.signal is None else signals.get_signal(data.signal)
-    with _staged(Path(cfg.document["out"])) as stage:
-        _recover_from_data(cfg, data, window, truth, stage)
+    with _staged(Path(args.out)) as stage:
+        _recover_from_data(data, window, truth, stage)
     return 0
 
 
@@ -287,7 +260,7 @@ def cmd_experiment(args) -> int:
         t0 = time.perf_counter()
         window, data = _simulate(cfg)
         t1 = time.perf_counter()
-        metrics = _recover_from_data(cfg, data, window, cfg.signal, stage)
+        metrics = _recover_from_data(data, window, cfg.signal, stage)
         t2 = time.perf_counter()
         write_json(stage("measurement.json"), data.to_dict())
         config = {k: v for k, v in cfg.document.items() if k != "out"}
@@ -305,29 +278,28 @@ def _parser() -> argparse.ArgumentParser:
                     "windowed-Fourier samples.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, measures):
+    def measures(p):
         p.add_argument("--config", metavar="PATH", help="JSON config file")
-        if measures:
-            p.add_argument("--signal", metavar="NAME",
-                           help="catalog signal (gaussian, modulated, zero)")
-            p.add_argument("--method", choices=["quadrature", "series"])
-            p.add_argument("--delta", type=int)
-            p.add_argument("--noise-level", dest="noise_level", type=float)
-            p.add_argument("--seed", type=int)
+        p.add_argument("--signal", metavar="NAME",
+                       help="catalog signal (gaussian, modulated, zero)")
+        p.add_argument("--method", choices=["quadrature", "series"])
+        p.add_argument("--delta", type=int)
+        p.add_argument("--noise-level", dest="noise_level", type=float)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", metavar="DIR")
 
     p_sim = sub.add_parser("simulate", help="write a measurement file")
-    common(p_sim, measures=True)
+    measures(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rec = sub.add_parser("recover", help="invert a measurement file")
     p_rec.add_argument("measurement", help="measurement JSON produced by simulate")
-    common(p_rec, measures=False)
+    p_rec.add_argument("--out", metavar="DIR", default=CONFIG_KEYS["out"])
     p_rec.set_defaults(func=cmd_recover)
 
     p_exp = sub.add_parser("experiment", help="run a bundled end-to-end preset")
     p_exp.add_argument("name", help="preset name, e.g. paper-1 or paper-2")
-    common(p_exp, measures=True)
+    measures(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 

@@ -97,10 +97,15 @@ def half_integer_grid(n_frequencies: int, n_shifts: int, shift_spacing: float,
     return MeasurementGrid(tuple(shifts), tuple(freqs), delta)
 
 
+#: The bundled experiment grid's :func:`half_integer_grid` arguments: 61
+#: half-step frequencies in [-15, 15], 11 shifts 0.5/11 apart, delta = 7.
+PAPER_GRID = {"n_frequencies": 61, "n_shifts": 11, "shift_spacing": 0.5 / 11.0,
+              "delta": 7}
+
+
 def paper_grid() -> MeasurementGrid:
-    """The bundled experiment grid: 61 half-step frequencies in [-15, 15],
-    11 shifts spaced 0.5/11 about zero, delta = 7."""
-    return half_integer_grid(61, 11, 0.5 / 11.0, 7)
+    """The bundled experiment grid, :data:`PAPER_GRID`."""
+    return half_integer_grid(**PAPER_GRID)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,14 @@ class RecoveryConfig:
         if not 0 < self.rank_tol < 1:
             raise ConfigError(f"rank_tol must lie in (0, 1), got {self.rank_tol!r}")
 
+    @classmethod
+    def for_data(cls, data: SpectrogramData) -> "RecoveryConfig":
+        """The cutoff for the noise level the data declare,
+        min(max(1e-10, 10·level), 0.1): the cap keeps it in (0, 1) at any
+        level, and capping the level first keeps 10·level finite."""
+        level = 0.0 if data.noise is None else data.noise.level
+        return cls(max(1e-10, 10.0 * min(level, 0.01)))
+
 
 @dataclass
 class RecoveryDiagnostics:
@@ -139,9 +147,10 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
     diagonal entries slightly negative; that mass is reported as a
     fraction of the positive trace but kept in the solution so the forward
     image still reproduces the data, and it is floored at zero later when
-    magnitudes are extracted.
+    magnitudes are extracted.  ``cfg`` defaults to
+    :meth:`RecoveryConfig.for_data`.
     """
-    cfg = cfg or RecoveryConfig()
+    cfg = cfg or RecoveryConfig.for_data(data)
     if data.values.shape != (system.n_measurements,):
         raise DimensionError("measurement vector does not match the system")
     # factored before the matrix is built, so the factorization's peak
@@ -270,9 +279,10 @@ def recover(data: SpectrogramData, window: Window,
     power of two ``2**(-2k)`` that brings their maximum into [0.5, 2)
     before the solve, and the spectrum by ``2**k`` after it.  Recovery is
     scale-equivariant and powers of two scale exactly, so the solve sees
-    the same numbers at every scale and no norm in it overflows.
+    the same numbers at every scale and no norm in it overflows.  ``cfg``
+    defaults to :meth:`RecoveryConfig.for_data`, the data's noise level.
     """
-    cfg, grid = cfg or RecoveryConfig(), data.grid
+    cfg, grid = cfg or RecoveryConfig.for_data(data), data.grid
     if not np.any(data.values > 0):
         return RecoveredSpectrum(np.zeros(grid.n_frequencies, dtype=complex),
                                  RecoveryDiagnostics())

@@ -24,7 +24,6 @@ __all__ = [
     "modulated_specimen",
     "zero_specimen",
     "gaussian_window",
-    "fourier_samples",
     "phase_rotated",
     "get_signal",
     "get_window",
@@ -128,11 +127,6 @@ def phase_rotated(signal: Signal, theta: float) -> Signal:
     factor = complex(np.exp(1j * theta))
     return Signal(signal.name,
                   lambda t, _f=factor, _s=signal: _f * _s.evaluate(t))
-
-
-def fourier_samples(signal: Signal, frequencies) -> np.ndarray:
-    """Fourier transform of the signal at each frequency (ground-truth vector)."""
-    return signal.fourier(np.asarray(frequencies, dtype=float))
 
 
 _SIGNAL_FACTORIES = {

@@ -113,7 +113,7 @@ def test_criterion_5_lifted_forward_consistency(paper_system, window, b_series,
     details = []
     for name in ("gaussian", "modulated"):
         signal = lp.get_signal(name)
-        truth = lp.fourier_samples(signal, paper_system.grid.frequencies)
+        truth = signal.fourier(paper_system.grid.frequencies)
         f = rank_one_banded(truth, paper_system.band)
         images = {
             "oracle": forward_lifted(paper_system, window,
@@ -183,7 +183,7 @@ def test_criterion_8_structured_cost(paper_system, window, gaussian):
     width = 4 * grid.delta + 1
     budget = 2 * grid.n_shifts * grid.n_frequencies * width ** 2
 
-    truth = lp.fourier_samples(gaussian, grid.frequencies)
+    truth = gaussian.fourier(grid.frequencies)
     f = BandWindows(rank_one_banded(truth, paper_system.band), paper_system.band)
     counter = OperationCounter()
     forward_lifted(paper_system, window, f, counter=counter)

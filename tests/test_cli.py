@@ -149,25 +149,37 @@ class TestRecoverCommand:
         ({"window": "gaussian"}, "window"),
     ])
     def test_measurement_config_keys_rejected(self, tmp_path, capsys,
-                                              document, key):
+                                              small_measurement, document,
+                                              key):
         # the measurement file fixes the signal, window, method, grid and
-        # noise; a config file that sets them would be silently ignored
-        small = {"method": "series", "grid": {
-            "n_frequencies": 21, "n_shifts": 7, "shift_spacing": 0.5 / 7.0,
-            "delta": 3}}
-        (tmp_path / "small.json").write_text(json.dumps(small))
-        data = tmp_path / "data"
-        assert run_cli(["simulate", "--config", str(tmp_path / "small.json"),
-                        "--out", str(data)]) == 0
+        # noise, and its noise level fixes the cutoff, so recover takes no
+        # config file: passing one is a usage error whatever it sets
         (tmp_path / "recover.json").write_text(json.dumps(document))
         out = tmp_path / "out"
         capsys.readouterr()
-        code = run_cli(["recover", str(data / "measurement.json"),
-                        "--config", str(tmp_path / "recover.json"),
-                        "--out", str(out)])
-        assert code == cli.EXIT_CONFIG
-        assert repr(key) in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["recover", str(small_measurement),
+                     "--config", str(tmp_path / "recover.json"),
+                     "--out", str(out)])
+        assert exc.value.code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "--config" in err
         assert not out.exists()
+
+    def test_huge_declared_noise_level_recovers(self, tmp_path,
+                                                small_measurement):
+        # the cutoff a level sets is capped at 0.1, reached at level 1e-2,
+        # so a level far past 1 still gives a cutoff in (0, 1)
+        doc = json.loads(small_measurement.read_text())
+        spectra = []
+        for level in (1e-2, 1e300):
+            doc["noise"] = {"seed": 0, "level": level}
+            path = tmp_path / f"noisy-{level}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"rec-{level}"
+            assert run_cli(["recover", str(path), "--out", str(out)]) == 0
+            spectra.append((out / "spectrum.json").read_bytes())
+        assert spectra[0] == spectra[1]
 
     def test_tampered_measurement_rejected(self, tmp_path):
         out = tmp_path / "exp"
@@ -451,7 +463,7 @@ class TestExperiment:
         assert metrics["refine_residual"] > 0
         assert 0 <= metrics["clamped_fraction"] < 1
         assert "window" not in metrics["config"]
-        assert set(metrics["config"]["recovery"]) == {"rank_tol"}
+        assert "recovery" not in metrics["config"]
 
     def test_unmakeable_out_exits_io_before_measuring(self, tmp_path,
                                                       monkeypatch):
@@ -569,6 +581,18 @@ class TestExperiment:
         doc = json.loads((out / "measurement.json").read_text())
         assert doc["noise"] == {"seed": 5, "level": 0.001}
 
+    @pytest.mark.parametrize("preset", ["paper-1", "paper-2"])
+    def test_noisy_experiment_truncates_at_the_noise_level(self, tmp_path,
+                                                           preset):
+        # with the cutoff at 1e-10 the noise passes through the smallest
+        # singular values, s_671/s_1 ~ 1e-8, and the errors were 77.5 and
+        # 49.4; the declared level sets the cutoff to 1e-2
+        out = tmp_path / "noisy"
+        assert run_cli(["experiment", preset, "--method", "series",
+                        "--noise-level", "1e-3", "--out", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["aligned_relative_error"] <= 1e-2
+
 
 class TestConfigResolution:
     def test_config_file_applies_and_flags_override(self, tmp_path):
@@ -576,7 +600,6 @@ class TestConfigResolution:
         cfg_path.write_text(json.dumps({
             "signal": "modulated",
             "method": "series",
-            "recovery": {"rank_tol": 1e-8},
         }))
         out = tmp_path / "out"
         code = run_cli(["simulate", "--config", str(cfg_path),
@@ -595,11 +618,13 @@ class TestConfigResolution:
     @pytest.mark.parametrize("document, key", [
         ({"sigal": "modulated"}, "sigal"),
         ({"grid": {"detla": 9}}, "grid.detla"),
-        ({"recovery": {"out_dir": "leaked"}}, "recovery.out_dir"),
-        ({"recovery": {"magnitude_floor": 1e-3}}, "recovery.magnitude_floor"),
+        ({"recovery": {"out_dir": "leaked"}}, "recovery"),
+        ({"recovery": {"magnitude_floor": 1e-3}}, "recovery"),
         # settings that could take one value only
         ({"window": "gaussian"}, "window"),
-        ({"recovery": {"refine_iterations": 30}}, "recovery.refine_iterations"),
+        ({"recovery": {"refine_iterations": 30}}, "recovery"),
+        # the noise level in the data sets the cutoff
+        ({"recovery": {"rank_tol": 1e-10}}, "recovery"),
     ])
     def test_unknown_key_is_named(self, tmp_path, capsys, document, key):
         cfg_path = tmp_path / "config.json"
@@ -687,7 +712,6 @@ class TestConfigResolution:
             "grid": {"preset": "custom", "n_frequencies": 21, "n_shifts": 7,
                      "shift_spacing": 0.1, "delta": 3},
             "noise": {"seed": 4, "level": 0.01},
-            "recovery": {"rank_tol": 1e-8},
         })
         assert first["grid"] == {"n_frequencies": 21, "n_shifts": 7,
                                  "shift_spacing": 0.1, "delta": 3}
@@ -721,7 +745,7 @@ class TestConfigResolution:
         {"recovery": 3},
         {"grid": {"delta": "7"}},
         {"noise": {"level": "x"}},
-        {"recovery": {"rank_tol": float("nan")}},
+        {"recovery": {"rank_tol": 1e-10}},
         {"recovery": {"out_dir": "leaked", "delta": 4}},
         {"sigal": "modulated"},
         {"grid": {"detla": 9}},
@@ -733,8 +757,8 @@ class TestConfigResolution:
         {"window": "gaussian"},
         {"recovery": {"refine_iterations": 30}},
         {"grid": {"shift_spacing": 1e308}},
-        {"recovery": {"rank_tol": 1.0}},
-        {"recovery": {"rank_tol": 1.7e308}},
+        {"out": 5},
+        {"noise": {"seed": -1}},
     ])
     def test_wrongly_typed_config_exits_config(self, tmp_path, document):
         cfg_path = tmp_path / "config.json"
@@ -756,8 +780,9 @@ class TestConfigResolution:
     ], ids=["spacing-1e308", "rank-tol-1", "rank-tol-1.7e308"])
     def test_out_of_range_setting_exits_before_measuring(
             self, tmp_path, monkeypatch, document):
-        # an infinite shift span overflows the grid's multiply, and a
-        # rank_tol of 1 or more keeps no singular value
+        # an infinite shift span overflows the grid's multiply; a rank_tol
+        # is no setting any more (the data's noise level sets the cutoff),
+        # so one out of range is refused with the recovery section
         def forbidden(*args, **kwargs):
             raise AssertionError("measured with a setting out of range")
 

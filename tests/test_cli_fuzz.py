@@ -55,8 +55,6 @@ documents = st.fixed_dictionaries({
     "noise": section(seed=values([0, 7, 2 ** 40, None], [-1, 1.5]),
                      level=values([0.0, 1e-3, 0.5],
                                   [2.0, -1e-3, float("nan")])),
-    "recovery": section(
-        rank_tol=values([1e-10, 1e-2], [1.0, 1.7e308, 0.0, -1.0, "tight"])),
 })
 
 flags = st.lists(st.sampled_from([
@@ -100,37 +98,30 @@ def run_in_process(argv):
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
                      database=None)
-@hypothesis.given(document=documents, command=commands, extra_flags=flags,
-                  measured=st.booleans())
+@hypothesis.given(document=documents, command=commands, extra_flags=flags)
 # an infinite level on an otherwise valid run reaches the noise draw, which
 # overflows unless the level is rejected first
 @hypothesis.example(document={"grid": {"n_frequencies": 21, "delta": 3}},
-                    command=["simulate"], measured=False,
+                    command=["simulate"],
                     extra_flags=[["--method", "series"], ["--noise-level", "inf"]])
 # a finite spacing whose shift span is not overflows the grid's multiply
 @hypothesis.example(document={"grid": {"n_frequencies": 21, "delta": 3,
                                        "shift_spacing": 1e308}},
-                    command=["simulate"], measured=False,
-                    extra_flags=[["--method", "series"]])
-# a rank_tol near the float limit overflows the singular-value cutoff
-@hypothesis.example(document={"grid": {"n_frequencies": 21, "delta": 3},
-                              "recovery": {"rank_tol": 1.7e308}},
-                    command=["experiment", "paper-1"], measured=False,
+                    command=["simulate"],
                     extra_flags=[["--method", "series"]])
 def test_any_config_exits_documented_code(measurement_file, document, command,
-                                          extra_flags, measured):
-    if command == ["recover"]:
-        # recover takes what was measured from its measurement file and
-        # rejects it in a config file unless it is left out
-        command = ["recover", str(measurement_file)]
-        if not measured:
-            document = {key: value for key, value in document.items()
-                        if key not in cli._MEASUREMENT_KEYS}
+                                          extra_flags):
     with tempfile.TemporaryDirectory() as scratch:
-        config = Path(scratch) / "config.json"
-        config.write_text(json.dumps(document))
+        if command == ["recover"]:
+            # recover reads everything from its measurement file and takes
+            # no config file
+            command = ["recover", str(measurement_file)]
+        else:
+            config = Path(scratch) / "config.json"
+            config.write_text(json.dumps(document))
+            command = [*command, "--config", str(config)]
         out = Path(scratch) / "out"
-        argv = [*command, "--config", str(config), "--out", str(out),
+        argv = [*command, "--out", str(out),
                 *(arg for flag in extra_flags for arg in flag)]
         code, stderr = run_in_process(argv)
         assert code in (0, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_NUMERICAL)
@@ -220,6 +211,8 @@ def well_typed(doc):
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
                      database=None)
 @hypothesis.given(changes=mutations)
+# a declared level far past 1 would take the cutoff it sets past 1 uncapped
+@hypothesis.example(changes=[(("noise",), {"seed": 0, "level": 1e300})])
 def test_any_measurement_file_exits_documented_code(measurement_file, changes):
     document = json.loads(measurement_file.read_text())
     doc = mutated(document, changes)

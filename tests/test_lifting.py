@@ -340,7 +340,7 @@ class TestForwardLifted:
     def test_true_rank_one_matches_series_paper_scale(self, paper_system, window,
                                                       gaussian, b_series):
         grid = paper_system.grid
-        f_vec = lp.fourier_samples(gaussian, grid.frequencies)
+        f_vec = gaussian.fourier(grid.frequencies)
         f = rank_one_banded(f_vec, paper_system.band)
         series = b_series["gaussian"].values
         assert np.linalg.norm(lifted(paper_system, f) - series) \
@@ -352,7 +352,7 @@ class TestForwardLifted:
         # would be off by order one if the shift phase had the wrong sign
         grid = paper_system.grid
         signal = skewed_specimen()
-        f = rank_one_banded(lp.fourier_samples(signal, grid.frequencies),
+        f = rank_one_banded(signal.fourier(grid.frequencies),
                             paper_system.band)
         image = lifted(paper_system, f)
         n = grid.n_frequencies
@@ -372,7 +372,7 @@ class TestForwardLifted:
         # by order one here
         window = make_window()
         system = lp.assemble_system(window, grid)
-        f = rank_one_banded(lp.fourier_samples(modulated, grid.frequencies),
+        f = rank_one_banded(modulated.fourier(grid.frequencies),
                             system.band)
         quad = lp.measure(modulated, window, grid, method="quadrature").values
         assert np.linalg.norm(lifted(system, f) - quad) / np.linalg.norm(quad) \
@@ -383,7 +383,7 @@ class TestForwardLifted:
         # a +-5 frequency span clips lattice terms the series still sums, so
         # agreement is limited by the signal's spectral mass beyond the grid
         grid, system = small_setup
-        f_vec = lp.fourier_samples(gaussian, grid.frequencies)
+        f_vec = gaussian.fourier(grid.frequencies)
         f = rank_one_banded(f_vec, system.band)
         series = lp.measure(gaussian, window, grid, method="series").values
         assert np.linalg.norm(lifted(system, f) - series) \
@@ -392,7 +392,7 @@ class TestForwardLifted:
     def test_global_phase_erased_by_rank_one_constructor(self, small_setup,
                                                          gaussian):
         grid, system = small_setup
-        f_vec = lp.fourier_samples(gaussian, grid.frequencies)
+        f_vec = gaussian.fourier(grid.frequencies)
         a = rank_one_banded(f_vec, system.band)
         b = rank_one_banded(np.exp(0.9j) * f_vec, system.band)
         assert np.allclose(a, b, atol=1e-15)

@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ class TestRecover:
     def test_spectrum_matches_truth_up_to_phase(self, b_quad, window, gaussian,
                                                 grid):
         spectrum = lp.recover(b_quad["gaussian"], window)
-        truth = lp.fourier_samples(gaussian, grid.frequencies)
+        truth = gaussian.fourier(grid.frequencies)
         aligned = align_phase(spectrum.f_hat, truth)
         assert np.linalg.norm(aligned - truth) / np.linalg.norm(truth) <= 5e-3
 
@@ -305,6 +306,29 @@ class TestRecover:
             lp.synthesize(spectrum, lp.default_grid()), gaussian)
         assert err <= 5e-2
         assert spectrum.diagnostics.eigen_gap > 1.0
+
+    @pytest.mark.parametrize("name", ["gaussian", "modulated"])
+    def test_cutoff_follows_the_noise_level(self, grid, window, name):
+        # without a cfg, recover truncates at max(1e-10, 10 * level): the
+        # same numbers, bit for bit, as a caller that passes that cutoff
+        signal = lp.get_signal(name)
+        for level in (0.0, 1e-4, 1e-3):
+            data = lp.measure(signal, window, grid, method="series",
+                              noise=lp.NoiseSpec(7, level))
+            cfg = lp.RecoveryConfig(rank_tol=max(1e-10, 10 * level))
+            assert np.array_equal(lp.recover(data, window).f_hat,
+                                  lp.recover(data, window, cfg=cfg).f_hat)
+
+    def test_derived_cutoff(self, b_series):
+        from dataclasses import replace
+        data = b_series["gaussian"]
+        assert lp.RecoveryConfig.for_data(data).rank_tol == 1e-10
+        for level, rank_tol in ((0.0, 1e-10), (1e-4, 1e-3), (0.01, 0.1),
+                                (2.0, 0.1), (8e307, 0.1)):
+            noisy = replace(data, noise=lp.NoiseSpec(0, level))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert lp.RecoveryConfig.for_data(noisy).rank_tol == rank_tol
 
     def test_config_validation(self):
         # a relative cutoff of 1 or more keeps no singular value

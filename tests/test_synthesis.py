@@ -25,7 +25,7 @@ class TestSynthesize:
         assert np.allclose(rec.values, 1.0, atol=1e-14)
 
     def test_ground_truth_synthesis_matches_signal(self, gaussian, grid):
-        spectrum = make_spectrum(lp.fourier_samples(gaussian, grid.frequencies))
+        spectrum = make_spectrum(gaussian.fourier(grid.frequencies))
         rec = lp.synthesize(spectrum, lp.default_grid())
         truth = gaussian.evaluate(rec.points)
         err = np.linalg.norm(truth - rec.values) / np.linalg.norm(truth)
@@ -54,7 +54,7 @@ class TestSynthesize:
         assert pts[1] - pts[0] == pytest.approx(1.0 / 40.96)
 
     def test_parseval_consistency(self, gaussian, grid):
-        f_hat = lp.fourier_samples(gaussian, grid.frequencies)
+        f_hat = gaussian.fourier(grid.frequencies)
         spectrum = make_spectrum(f_hat)
         pts = np.linspace(-1.0, 1.0, 4001)
         rec = lp.synthesize(spectrum, pts)
