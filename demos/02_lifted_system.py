@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Inspect the lifted linear system: its closed form as shift phases times
 window kernels, the real measurement matrix over the real coordinates of
-the band, the two shift-parity blocks its SVD is taken in, its rank, and
-its agreement with the series measurements.
+the band, the four symmetry blocks its SVD is taken in, its rank, and its
+agreement with the series measurements.
 
 The quadratic measurements are linear in the outer product of the unknown
 Fourier samples; each measurement row reads a small window of that matrix,
@@ -41,12 +41,17 @@ print(f"measurements: {system.n_measurements} (= N*K)")
 print("\n== singular spectrum ==")
 # the kernels of the even window are real, so the sums and differences of
 # the rows of +l and -l split the matrix into two blocks (cos and sin
-# columns of Phi) whose thin SVDs give the whole matrix's
+# columns of Phi); the kernels are also symmetric under the frequency
+# reflection r -> N-1-r, which splits each of those in two again.  The
+# blocks' thin SVDs are kept apart: together they are the whole matrix's.
 eps = np.finfo(float).eps
 imaginary = np.abs(system.kernels.imag).max() / np.abs(system.kernels).max()
-print(f"max|Im c|/max|c| = {imaginary:.1e}, so the SVD is taken in "
-      f"{'two shift-parity blocks' if imaginary <= 8 * eps else 'one block'}")
-_, s, _ = system.factorization
+print(f"max|Im c|/max|c| = {imaginary:.1e}")
+blocks = system.factorization
+print(f"{len(blocks)} symmetry blocks: "
+      + ", ".join(f"{m} x {c}" for m, c in (b.matrix.shape for b in blocks))
+      + f"; matrices and factors {sum(b.nbytes for b in blocks) / 1e6:.1f} MB")
+s = np.sort(np.concatenate([block.s for block in blocks]))[::-1]
 print(f"s_1 = {s[0]:.3e}, s_671 = {s[-1]:.3e} (ratio {s[-1] / s[0]:.2e})")
 print(f"rank at relative tolerance 1e-10: {int((s > 1e-10 * s[0]).sum())} "
       f"of {s.size} singular values (full row rank)")

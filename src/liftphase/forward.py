@@ -215,16 +215,20 @@ def check_type(key: str, expected: type, value) -> None:
 
 
 def _known_keys(where: str, section, keys: tuple[str, ...]) -> None:
-    """Raise ConfigError naming the first key of a document section (an
-    object; anything else is left to the caller) that ``keys`` does not
-    list."""
-    for key in section if isinstance(section, dict) else ():
+    """Raise ConfigError unless a document section is an object, naming the
+    first of its keys that ``keys`` does not list."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'the document'} must be an "
+                          f"object, got {section!r}")
+    for key in section:
         if key not in keys:
             raise ConfigError(f"unknown key {where + key!r}")
 
 
 def _numbers(key: str, values) -> tuple[float, ...]:
     """The entries of a document list, each checked to be a number."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
     for value in values:
         check_type(key, float, value)
     return tuple(float(value) for value in values)

@@ -18,7 +18,9 @@ blocks that it factors.
 
 from __future__ import annotations
 
+import itertools
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .forward import MeasurementGrid, check_shift
 from .kernels import thin_svd
 from .signals import Window
 
-__all__ = ["LiftedSystem", "assemble_system"]
+__all__ = ["LiftedSystem", "SymmetryBlock", "assemble_system"]
 
 _SQRT2 = np.sqrt(2.0)
 #: Imaginary parts of the window kernels at most this times their largest
@@ -51,6 +53,62 @@ def check_matrix_budget(n: int, n_shifts: int, delta: int) -> None:
             f"allowed")
 
 
+def _pairs(indices: np.ndarray, partner: np.ndarray, sign: float):
+    """The orthogonal map onto the sums (``sign`` 1) or the differences
+    (``sign`` -1), over sqrt(2), of ``indices`` and their images under the
+    involution ``partner``, as index and weight rows (2 x pairs each); an
+    index that is its own image, which only sums keep, keeps its entry."""
+    first = indices[indices <= partner[indices] if sign > 0
+                    else indices < partner[indices]]
+    weight = np.where(first == partner[first], 0.5, 1.0 / _SQRT2)
+    return np.stack([first, partner[first]]), np.stack([weight, sign * weight])
+
+
+def _dense(partner: np.ndarray, sign: float) -> np.ndarray:
+    """The map of :func:`_pairs` on all of ``partner``'s indices, as a
+    matrix."""
+    return _combine(np.eye(len(partner)),
+                    *_pairs(np.arange(len(partner)), partner, sign)).T
+
+
+def _combine(a: np.ndarray, pairs: np.ndarray, weights: np.ndarray):
+    """The map of :func:`_pairs` applied along the last axis of ``a``."""
+    return weights[0] * a[..., pairs[0]] + weights[1] * a[..., pairs[1]]
+
+
+@dataclass(frozen=True)
+class SymmetryBlock:
+    """A diagonal block ``M = R A Cᵀ`` of the lifted matrix A and its thin
+    SVD ``(u, s, vh)``: R is ``shifts ⊗ frequencies``, and C the
+    :func:`_pairs` map ``(pairs, weights)`` of the coordinates."""
+
+    shifts: np.ndarray
+    frequencies: np.ndarray
+    pairs: np.ndarray
+    weights: np.ndarray
+    matrix: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(part.nbytes for part in vars(self).values())
+
+    def rows_of(self, b: np.ndarray) -> np.ndarray:
+        """``R b`` of a measurement vector."""
+        by_shift = b.reshape(self.shifts.shape[1], -1)
+        return (self.shifts @ by_shift @ self.frequencies.T).ravel()
+
+    def columns_of(self, x: np.ndarray) -> np.ndarray:
+        """``C x`` of a coordinate vector."""
+        return _combine(x, self.pairs, self.weights)
+
+    def from_columns(self, z: np.ndarray, size: int) -> np.ndarray:
+        """``Cᵀ z``, a coordinate vector of length ``size``."""
+        return np.bincount(self.pairs.ravel(), (self.weights * z).ravel(), size)
+
+
 class LiftedSystem:
     """The lifted operator as a real matrix over the unknown's coordinates.
 
@@ -65,25 +123,26 @@ class LiftedSystem:
     inner product of the two matrices) and differ from the complex entry
     coordinates by a unitary change of basis, so the real measurement
     matrix has the singular values of the complex one.  The matrix and its
-    thin SVD are each computed from the phases and the kernels on first
-    access and cached for repeated solves; the SVD does not read the
-    matrix.  Both are computed under a per-system lock, so concurrent first
-    accesses compute each once.  A grid whose matrix would pass
+    factorization are each computed from the phases and the kernels on
+    first access, under a per-system lock, and cached; the factorization
+    does not read the matrix.  A grid whose matrix would pass
     ``MATRIX_BUDGET`` raises ConfigError before anything is built.
 
-    The thin SVD is taken in two shift-parity blocks when the operator
-    splits.  The sum of the rows of +l and -l over sqrt(2) carries
-    ``sqrt(2) cos(pi l d) c_d``, their difference ``sqrt(2) i sin(pi l d)
-    c_d``, and the row of l = 0 joins the sums.  When the kernels are real,
-    the sums touch only the diagonal and Re-band coordinates and the
-    differences only the Im-band ones, so this orthogonal change of rows T
-    makes the matrix ``blockdiag(A_even, A_odd)``.  Each block is built from
-    the phases ``T Phi`` and the kernels, and the blocks' thin SVDs, at
-    about a quarter of the flops each, give the whole matrix's: ``u = Tᵀ
-    blockdiag(u_even, u_odd)``.  The split is taken when the shifts equal
-    their negated reverse and ``max|Im c| <= _SPLIT_FLOOR * max|c|``; a real
-    window that is not even, or an asymmetric shift set, takes one block,
-    that of T = I_K, through the same builder.
+    The factorization is the thin SVDs of up to four diagonal blocks
+    ``M_b = R_b A C_bᵀ`` of two commuting symmetries (Z2 x Z2), whose
+    orthogonal maps R_b of the rows and C_b of the coordinates take the sums
+    or the differences of index pairs.  The shift parity pairs the rows of
+    +l and -l (l = 0 joins the sums): the sums carry ``sqrt(2) cos(pi l d)
+    c_d`` and touch only the diagonal and Re-band coordinates, the
+    differences ``sqrt(2) i sin(pi l d) c_d`` and only the Im-band ones,
+    when the shifts equal their negated reverse and ``max|Im c| <=
+    _SPLIT_FLOOR * max|c|``.  The frequency reflection pairs the rows (k, r)
+    and (k, N-1-r), and the coordinates of the entries (i, i+d) and
+    (N-1-i-d, N-1-i), when ``c_d[-t-d] = c_d[t]`` within the same floor, as
+    for every real window and shift set.  Each parity block is built by
+    :meth:`_block` and paired into its reflection halves, which factor in
+    about a sixteenth of the whole matrix's flops.  A symmetry that fails,
+    or whose blocks would drop zero singular triplets, is not taken.
     """
 
     def __init__(self, window: Window, grid: MeasurementGrid):
@@ -187,54 +246,65 @@ class LiftedSystem:
 
     @property
     def factorization(self):
-        """Cached thin SVD ``(u, s, vh)`` of the real matrix, s descending,
-        ``u`` and ``vh`` C-contiguous; see the class docstring for how the
-        shift-parity blocks are factored apart."""
+        """The cached symmetry blocks of the real matrix, each with its
+        thin SVD, ``u`` and ``vh`` C-contiguous (see the class docstring)."""
         with self._lock:
             if self._factorization is None:
                 self._factorization = self._factor()
             return self._factorization
 
-    def _parity_split(self) -> list[tuple[np.ndarray, slice]]:
-        """The row blocks of the orthogonal shift transform T and the columns
-        their rows touch: ``[(T_even, columns), (T_odd, columns)]`` when the
-        operator splits (see the class docstring), else ``[(I_K, all)]``."""
-        shifts, n, c = self.grid.shifts, self.grid.n_frequencies, self.kernels
-        k_shifts, half = len(shifts), len(shifts) // 2
-        eye = np.eye(k_shifts)
-        if (k_shifts < 2 or shifts != tuple(-l for l in reversed(shifts))
-                or np.abs(c.imag).max() > _SPLIT_FLOOR * np.abs(c).max()):
-            return [(eye, slice(None))]
-        even = np.vstack([(eye + eye[::-1])[:half] / _SQRT2,
-                          eye[half:half + k_shifts % 2]])
-        odd = (eye - eye[::-1])[:half] / _SQRT2
-        cut = n + self.upper[0].size  # diagonal and Re-band | Im-band
-        # a wide block beside a tall one would drop zero singular triplets
-        if min(len(even) * n, cut) + min(len(odd) * n, self.n_unknowns - cut) \
-                != min(self.n_measurements, self.n_unknowns):
-            return [(eye, slice(None))]
-        return [(even, slice(0, cut)), (odd, slice(cut, None))]
+    def _symmetries(self):
+        """The candidate splits, both symmetries first and none last: the
+        shift parity's (partner of each shift, columns of its sums and of
+        its differences) times the frequency reflection's (partner of each
+        frequency, partner of each coordinate), each before the identity,
+        which also stands in for a symmetry that the input breaks."""
+        k, n, c, width = (self.grid.n_shifts, self.grid.n_frequencies,
+                          self.kernels, self.band + 1)
+        floor, shifts = _SPLIT_FLOOR * np.abs(c).max(), self.grid.shifts
+        parity = [(np.arange(k), (slice(None),))]
+        if (k > 1 and shifts == tuple(-l for l in reversed(shifts))
+                and np.abs(c.imag).max() <= floor):
+            cut = n + self.upper[0].size
+            parity.insert(0, (np.arange(k)[::-1],
+                              (slice(0, cut), slice(cut, None))))
+        reflection = [(np.arange(n), np.arange(self.n_unknowns))]
+        if max(np.abs(row[:width - d] - row[width - d - 1::-1]).max()
+               for d, row in enumerate(c)) <= floor:
+            (i, j), p = self.upper, self.upper[0].size
+            entry = np.zeros((n, n), dtype=int)
+            entry[i, j] = np.arange(p)
+            partner, mirror = entry[n - 1 - j, n - 1 - i], np.arange(n)[::-1]
+            reflection.insert(0, (mirror, np.concatenate(
+                [mirror, n + partner, n + p + partner])))
+        return itertools.product(parity, reflection)
 
-    def _factor(self):
-        """Thin SVD of the matrix from its row blocks' (see
-        :meth:`_parity_split`): ``u = Tᵀ blockdiag(u_b)``, each ``vh_b`` in
-        its block's columns, and the triplets merged by descending singular
-        value.  No block is held through the merge, where memory peaks."""
-        split, n = self._parity_split(), self.grid.n_frequencies
-        factors = [thin_svd(self._block(*block)) for block in split]
-        s = np.concatenate([sb for _, sb, _ in factors])
-        order = np.argsort(-s, kind="stable")
-        position = np.argsort(order)  # the inverse permutation
-        u = np.zeros((self.grid.n_shifts, n, s.size))
-        vh = np.zeros((s.size, self.n_unknowns))
-        start = 0
-        for (transform, columns), (ub, sb, vhb) in zip(split, factors):
-            where = position[start:start + sb.size]
-            start += sb.size
-            vh[where, columns] = vhb
-            for i, k in zip(*np.nonzero(transform)):
-                u[k][:, where] = transform[i, k] * ub[i * n:(i + 1) * n]
-        return u.reshape(-1, s.size), s[order], vh
+    def _factor(self) -> tuple[SymmetryBlock, ...]:
+        """The symmetry blocks, each factored (see the class docstring):
+        of both symmetries, one or none, the first whose blocks keep the
+        whole matrix's count of singular triplets (a wide block beside a
+        tall one would drop zero triplets).  Each shift-parity row block is
+        built once and paired into its reflection halves."""
+        n, coordinates = self.grid.n_frequencies, np.arange(self.n_unknowns)
+        for (shifts, parts), (frequencies, partners) in self._symmetries():
+            halves = [(_dense(shifts, sign), part, _dense(frequencies, flip),
+                       _pairs(coordinates[part], partners, flip))
+                      for sign, part in zip((1.0, -1.0), parts)
+                      for flip in (1.0, -1.0)]
+            halves = [half for half in halves if half[2].size]
+            if sum(min(len(rows) * len(freq), cols[0].shape[1])
+                   for rows, _, freq, cols in halves) \
+                    == min(self.n_measurements, self.n_unknowns):
+                break
+        blocks, built = [], None
+        for rows, part, freq, (pairs, weights) in halves:
+            if built is None or built[0] is not part:
+                built = part, self._block(rows, part).reshape(len(rows), n, -1)
+            matrix = _combine((freq @ built[1]).reshape(-1, built[1].shape[2]),
+                              pairs - (part.start or 0), weights)
+            blocks.append(SymmetryBlock(rows, freq, pairs, weights, matrix,
+                                        *thin_svd(matrix)))
+        return tuple(blocks)
 
 
 def assemble_system(window: Window, grid: MeasurementGrid) -> LiftedSystem:

@@ -25,8 +25,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DegenerateSpectrum, DimensionError
 from .forward import MeasurementGrid, SpectrogramData, half_integer_lattice
-from .kernels import (BandedMatrix, leading_eigenvector, min_norm_least_squares,
-                      truncate)
+from .kernels import BandedMatrix, leading_eigenvector, min_norm_least_squares
 from .lifting import LiftedSystem, assemble_system
 from .signals import Window
 
@@ -140,11 +139,13 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
                ) -> tuple[np.ndarray, RecoveryDiagnostics]:
     """Minimum-norm least-squares solve for the banded unknown.
 
-    The solve runs in the system's real coordinates, on the real matrix and
-    its real thin SVD; :meth:`LiftedSystem.unpack` turns the solution into
-    a Hermitian N x N array with no projection step, because every real
-    coordinate vector describes one.  The operator's null space can push
-    diagonal entries slightly negative; that mass is reported as a
+    The solve runs in the system's real coordinates, per symmetry block of
+    :attr:`LiftedSystem.factorization`; the blocks' row and column maps are
+    orthogonal, so their solutions mapped back, squared residuals and ranks
+    add up to the whole system's.  :meth:`LiftedSystem.unpack` turns the
+    solution into a Hermitian N x N array with no projection step, because
+    every real coordinate vector describes one.  The operator's null space
+    can push diagonal entries slightly negative; that mass is reported as a
     fraction of the positive trace but kept in the solution so the forward
     image still reproduces the data, and it is floored at zero later when
     magnitudes are extracted.  ``cfg`` defaults to
@@ -153,14 +154,14 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
     cfg = cfg or RecoveryConfig.for_data(data)
     if data.values.shape != (system.n_measurements,):
         raise DimensionError("measurement vector does not match the system")
-    # factored before the matrix is built, so the factorization's peak
-    # does not also hold the matrix
-    factorization = system.factorization
-    x, residual, rank = min_norm_least_squares(
-        system.matrix, data.values, rank_tol=cfg.rank_tol,
-        factorization=factorization)
+    x, squared, rank = np.zeros(system.n_unknowns), 0.0, 0
+    for block, rows, *factors in _kept(system, data.values, cfg.rank_tol):
+        xb, residual, kept = min_norm_least_squares(
+            block.matrix, rows, rank_tol=cfg.rank_tol, factorization=factors)
+        x += block.from_columns(xb, x.size)
+        squared, rank = squared + residual ** 2, rank + kept
     bnorm = float(np.linalg.norm(data.values))
-    rel_residual = residual / bnorm if bnorm > 0 else 0.0
+    rel_residual = float(np.sqrt(squared)) / bnorm if bnorm > 0 else 0.0
     f = system.unpack(x)
     diag = f.diagonal().real
     clamped = float(-diag[diag < 0].sum())
@@ -168,6 +169,17 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
     return f, RecoveryDiagnostics(
         rel_residual, rank=rank,
         clamped_fraction=clamped / trace if trace > 0 else 0.0)
+
+
+def _kept(system: LiftedSystem, b: np.ndarray, rank_tol: float) -> list:
+    """Per symmetry block: the block, its rows of ``b`` and its singular
+    triplets above ``rank_tol`` times the largest of all blocks, as prefix
+    views ``(u, s, vh)``."""
+    blocks = system.factorization
+    cutoff = rank_tol * max(block.s.max(initial=0.0) for block in blocks)
+    ranks = [int(np.count_nonzero(block.s > cutoff)) for block in blocks]
+    return [(block, block.rows_of(b), block.u[:, :r], block.s[:r],
+             block.vh[:r]) for block, r in zip(blocks, ranks)]
 
 
 def _rank_one_part(system: LiftedSystem, x: np.ndarray) -> np.ndarray:
@@ -186,12 +198,13 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
 
     Each sweep replaces the iterate by its dominant rank-one part y and
     then moves back onto the solution set by subtracting the minimum-norm
-    correction ``vtᵀ g``, ``g = (uᵀ (A y - b)) / s``, of the measurement
-    mismatch, on the singular triplets that the solve keeps.  ``vt`` has
-    orthonormal rows, so ``|g|`` is the distance of y from the solution
-    set; refinement stops after the sweep in which it exceeds
+    correction, on the singular triplets that the solve keeps, of the
+    measurement mismatch: per symmetry block (rows R, columns C, matrix M),
+    ``Cᵀ vtᵀ g`` with ``g = (uᵀ (M C y - R b)) / s``.  ``vt`` has
+    orthonormal rows, so the norm of all ``g`` is the distance of y from
+    the solution set; refinement stops after the sweep in which it exceeds
     ``PLATEAU_RATIO`` times the previous sweep's.  The mismatch is taken
-    against the matrix, not as ``vt y - (uᵀ b) / s``: that form puts the
+    against M, not as ``vt C y - (uᵀ R b) / s``: that form puts the
     solution set where the factors' backward error, amplified by s_1/s_min,
     moves it with the BLAS thread count.  The final iterate is the band of
     the rank-one part, whose diagonal and phases feed synchronization.  All
@@ -200,20 +213,25 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
 
     Returns the refined band, its relative residual and the sweep count.
     """
-    u, s, vt = truncate(system.factorization, cfg.rank_tol)
-    a = system.matrix
+    kept = _kept(system, b, cfg.rank_tol)
+
+    def mismatch(y):
+        return [block.matrix @ block.columns_of(y) - rows
+                for block, rows, *_ in kept]
 
     x, sweeps, previous = system.pack(f), 0, np.inf
     for sweeps in range(1, MAX_SWEEPS + 1):
         y = system.pack(_rank_one_part(system, x))
-        g = (u.T @ (a @ y - b)) / s
-        x = y - vt.T @ g
-        gap = float(np.linalg.norm(g))
+        gs = [(u.T @ r) / s for r, (_, _, u, s, _) in zip(mismatch(y), kept)]
+        x = y - sum(block.from_columns(vt.T @ g, y.size)
+                    for g, (block, *_, vt) in zip(gs, kept))
+        gap = float(np.linalg.norm(np.concatenate(gs)))
         if gap > PLATEAU_RATIO * previous:
             break
         previous = gap
     refined = system.restrict(_rank_one_part(system, x))
-    resid = float(np.linalg.norm(a @ system.pack(refined) - b))
+    resid = float(np.linalg.norm(np.concatenate(
+        mismatch(system.pack(refined)))))
     bnorm = float(np.linalg.norm(b))
     return refined, (resid / bnorm if bnorm > 0 else 0.0), sweeps
 

@@ -154,6 +154,27 @@ def dense_column_oracle(window, grid, band):
     return m, rows, cols
 
 
+def merged_factorization(system):
+    """The whole lifted matrix's thin SVD ``(u, s, vh)``, s descending,
+    assembled from the symmetry blocks of ``system.factorization``: each
+    block's ``u`` taken back through its rows R (``Rᵀ u_b``), its ``vh``
+    through its columns C (``vh_b C``), and the triplets merged by
+    descending singular value.  ``R`` is read off by mapping unit vectors,
+    and ``Cᵀ`` is applied to each row of ``vh_b``."""
+    us, ss, vhs = [], [], []
+    for block in system.factorization:
+        rows = np.array([block.rows_of(e)
+                         for e in np.eye(system.n_measurements)])
+        us.append(rows @ block.u)
+        ss.append(block.s)
+        vhs.append(np.array([block.from_columns(row, system.n_unknowns)
+                             for row in block.vh]).reshape(-1, system.n_unknowns))
+    s = np.concatenate(ss)
+    order = np.argsort(-s, kind="stable")
+    return (np.ascontiguousarray(np.hstack(us)[:, order]), s[order],
+            np.vstack(vhs)[order])
+
+
 def band_part(dense, half_width):
     """Band restriction of a dense matrix, mirrored from its upper triangle
     and with a real diagonal: an exactly Hermitian array."""

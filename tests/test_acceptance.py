@@ -20,8 +20,8 @@ import liftphase as lp
 from liftphase import cli
 
 from conftest import (BandWindows, OperationCounter, align_phase,
-                      forward_lifted, random_lattice_vector, rank_one_banded,
-                      skewed_specimen)
+                      forward_lifted, merged_factorization,
+                      random_lattice_vector, rank_one_banded, skewed_specimen)
 
 
 def report(number, ok, detail):
@@ -89,11 +89,11 @@ def test_criterion_3_series_vs_quadrature(window):
 
 
 def test_criterion_4_rank_and_cliff(paper_system):
-    _, s, _ = paper_system.factorization
+    factorization = merged_factorization(paper_system)
+    _, s, _ = factorization
     b = np.ones(paper_system.n_measurements)
     _, _, rank = lp.min_norm_least_squares(
-        paper_system.matrix, b, rank_tol=1e-10,
-        factorization=paper_system.factorization)
+        paper_system.matrix, b, rank_tol=1e-10, factorization=factorization)
     # the matrix has exactly NK rows, so rank NK means full row rank and no
     # 672nd singular value exists; the operative cliff is the margin of the
     # smallest singular value over the numerical-zero scale eps * s_1

@@ -116,7 +116,7 @@ class TestRecoverCommand:
         code = run_cli(["recover", str(out / "measurement.json"),
                         "--out", str(out)])
         assert code == 0
-        assert "aligned_error=1.397490e-05" in capsys.readouterr().out
+        assert "aligned_error=1.397485e-05" in capsys.readouterr().out
         spectrum = json.loads((out / "spectrum.json").read_text())
         assert set(spectrum) == {"frequencies", "f_hat", "diagnostics"}
         assert len(spectrum["f_hat"]) == 61
@@ -278,6 +278,31 @@ class TestRecoverCommand:
             == cli.EXIT_CONFIG
         assert "invalid measurement document" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("grid",), [], "grid must be an object, got []"),
+        (("noise",), 5, "noise must be an object, got 5"),
+        (("b",), None, "b must be a list of numbers, got None"),
+        (("b",), {}, "b must be a list of numbers, got {}"),
+        (("grid", "shifts"), None,
+         "grid.shifts must be a list of numbers, got None"),
+    ], ids=["grid-list", "noise-int", "b-null", "b-object", "shifts-null"])
+    def test_wrongly_typed_section_is_named(self, tmp_path, capsys,
+                                            small_measurement, path, value,
+                                            message):
+        # a section of the wrong type names its key and the type it needs
+        doc = json.loads(small_measurement.read_text())
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["recover", str(bad), "--out", str(tmp_path / "rec")]) \
+            == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("changes, key", [
         ({("extra",): 1}, "extra"),

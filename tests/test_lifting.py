@@ -6,8 +6,9 @@ from liftphase.exceptions import DimensionError, GridError
 
 from conftest import (BandWindows, OperationCounter, chirped_window,
                       dense_column_oracle, forward_lifted,
-                      random_banded_hermitian, rank_one_banded, shift_vector,
-                      skewed_specimen, tilted_window, toeplitz_block)
+                      merged_factorization, random_banded_hermitian,
+                      rank_one_banded, shift_vector, skewed_specimen,
+                      tilted_window, toeplitz_block)
 
 
 def lifted(system, f):
@@ -158,14 +159,17 @@ class TestAssembleSystem:
         grid, system = small_setup
         oracle, _, _ = dense_column_oracle(window, grid, system.band)
         s_oracle = np.linalg.svd(oracle, compute_uv=False)
-        _, s, _ = system.factorization
+        _, s, _ = merged_factorization(system)
         assert np.max(np.abs(s - s_oracle)) <= 1e-13 * s_oracle[0]
-        b = np.ones(system.n_measurements)
+        # the solve's cutoff is relative to the largest singular value of
+        # all blocks, not to each block's own
+        data = lp.SpectrogramData(np.ones(system.n_measurements), grid,
+                                  provenance="series")
         for rank_tol in (1e-10, 1e-2):
-            _, _, rank = lp.min_norm_least_squares(
-                system.matrix, b, rank_tol=rank_tol,
-                factorization=system.factorization)
-            assert rank == int((s_oracle > rank_tol * s_oracle[0]).sum())
+            _, diagnostics = lp.solve_band(system, data,
+                                           lp.RecoveryConfig(rank_tol))
+            assert diagnostics.rank == int(
+                (s_oracle > rank_tol * s_oracle[0]).sum())
 
     def test_paper_dimensions(self, paper_system):
         assert paper_system.matrix.shape == (671, 2665)
@@ -222,9 +226,10 @@ class TestAssembleSystem:
 
 
 def check_against_dense_svd(system):
-    """The cached factorization against LAPACK's SVD of the whole matrix."""
+    """The cached factorization, merged by the test oracle, against
+    LAPACK's SVD of the whole matrix."""
     a = system.matrix
-    u, s, vh = system.factorization
+    u, s, vh = merged_factorization(system)
     s_oracle = np.linalg.svd(a, compute_uv=False)
     scale = s_oracle[0]
     assert s.shape == s_oracle.shape
@@ -234,7 +239,8 @@ def check_against_dense_svd(system):
     eye = np.eye(s.size)
     assert np.max(np.abs(u.T @ u - eye)) <= 1e-13
     assert np.max(np.abs(vh @ vh.T - eye)) <= 1e-13
-    assert u.flags.c_contiguous and vh.flags.c_contiguous
+    assert all(block.u.flags.c_contiguous and block.vh.flags.c_contiguous
+               for block in system.factorization)
     return s
 
 
@@ -263,21 +269,33 @@ def factored_shapes(window, grid, monkeypatch):
 
 
 class TestFactorization:
-    """The shift-parity split of the factorization: the same thin SVD as the
-    whole matrix's, from two blocks when the input allows it and from one
-    otherwise, built without reading the matrix."""
+    """The symmetry blocks of the factorization: together the same thin SVD
+    as the whole matrix's, from four blocks (shift parity times frequency
+    reflection) when the input allows both splits, from two when it allows
+    one and from one otherwise, built without reading the matrix."""
 
     def test_paper_grid_matches_dense_svd(self, paper_system):
         s = check_against_dense_svd(paper_system)
         assert int((s > 1e-10 * s[0]).sum()) == 671
         assert s[-1] / s[0] == pytest.approx(9.608e-9, rel=1e-3)
+        assert [block.matrix.shape for block in paper_system.factorization] \
+            == [(186, 689), (180, 674), (155, 658), (150, 644)]
+
+    def test_ladder_grid_matches_dense_svd(self, window, monkeypatch):
+        # the (101, 15) grid of the benchmark's series ladder
+        grid = lp.half_integer_grid(101, 15, 1.0 / 30.0, 7)
+        _, shapes = factored_shapes(window, grid, monkeypatch)
+        assert shapes == [(408, 1269), (400, 1254), (357, 1218), (350, 1204)]
 
     @pytest.mark.parametrize("make_window, blocks", [
-        (lambda: lp.get_window("gaussian"), [(84, 195), (63, 174)]),
-        # a complex window whose transform is real still splits
+        (lambda: lp.get_window("gaussian"),
+         [(44, 101), (40, 94), (33, 90), (30, 84)]),
+        # a complex window whose transform is real still splits by parity,
+        # but its kernels are not symmetric under the reflection
         (chirped_window, [(84, 195), (63, 174)]),
-        # a real window that is not even has a complex transform
-        (tilted_window, [(147, 369)]),
+        # a real window that is not even has a complex transform, and its
+        # kernels keep the reflection symmetry
+        (tilted_window, [(77, 191), (70, 178)]),
     ], ids=["gaussian", "chirped", "tilted"])
     def test_window_selects_the_path(self, make_window, blocks, monkeypatch):
         grid = lp.half_integer_grid(21, 7, 0.5 / 7.0, 3)
@@ -285,11 +303,14 @@ class TestFactorization:
         assert shapes == blocks
 
     @pytest.mark.parametrize("shifts, delta, blocks", [
-        ((-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4), 3, [(147, 369)]),
-        ((0.0,), 3, [(21, 369)]),
-        ((-0.15, -0.05, 0.05, 0.15), 3, [(42, 195), (42, 174)]),
-        # blocks of 84 x 95 and 84 x 74 would give 84 + 74 triplets, fewer
-        # than the whole 168 x 169 matrix's 168
+        # the reflection keeps the shifts, so it splits any shift set
+        ((-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4), 3, [(77, 191), (70, 178)]),
+        ((0.0,), 3, [(11, 191), (10, 178)]),
+        ((-0.15, -0.05, 0.05, 0.15), 3,
+         [(22, 101), (20, 94), (22, 90), (20, 84)]),
+        # parity blocks of 84 x 95 and 84 x 74 would give 84 + 74 triplets,
+        # and reflection blocks of 88 x 87 and 80 x 82 would give 87 + 80,
+        # fewer than the whole 168 x 169 matrix's 168
         (lp.half_integer_grid(21, 8, 0.04, 1).shifts, 1, [(168, 169)]),
     ], ids=["asymmetric", "one-shift", "even-K", "wide-beside-tall"])
     def test_shifts_select_the_path(self, window, shifts, delta, blocks,
@@ -300,11 +321,11 @@ class TestFactorization:
         assert shapes == blocks
 
     def test_identical_zero_shifts_keep_rank(self, grid, window, monkeypatch):
-        # the pairs' difference rows vanish: the odd block is zero
+        # the pairs' difference rows vanish: the odd blocks are zero
         zeros = lp.MeasurementGrid((0.0,) * 11, grid.frequencies, grid.delta)
         system, shapes = factored_shapes(window, zeros, monkeypatch)
-        assert shapes == [(366, 1363), (305, 1302)]
-        _, s, _ = system.factorization
+        assert shapes == [(186, 689), (180, 674), (155, 658), (150, 644)]
+        _, s, _ = merged_factorization(system)
         assert int((s > 1e-10 * s[0]).sum()) == 61
 
 

@@ -18,6 +18,8 @@ import pytest
 
 from liftphase import cli
 
+from conftest import merged_factorization
+
 RUNS = {
     # (experiment, method): (error bound, eigen-gap lower bound)
     ("paper-1", "quadrature"): (6.2e-6, 0.9 * 4.1694),
@@ -41,7 +43,7 @@ def metrics(paper_system, tmp_path_factory):
 
 
 def test_rank_and_conditioning(paper_system):
-    _, s, _ = paper_system.factorization
+    _, s, _ = merged_factorization(paper_system)
     assert int((s > 1e-10 * s[0]).sum()) == 671
     assert s[670] / s[0] == pytest.approx(9.608107e-9, rel=1e-6)
 

@@ -13,7 +13,8 @@ from liftphase.exceptions import (ConfigError, DegenerateSpectrum,
                                   DimensionError)
 
 from conftest import (BandWindows, align_phase, dense_column_oracle,
-                      forward_lifted, random_lattice_vector, rank_one_banded)
+                      forward_lifted, random_lattice_vector, rank_one_banded,
+                      tilted_window)
 
 
 class TestSolveBand:
@@ -49,9 +50,8 @@ class TestSolveBand:
 
     def test_factors_before_building_the_matrix(self, grid, window, b_series,
                                                 monkeypatch):
-        # the factorization's peak then does not also hold the matrix
-        from liftphase import lifting
-
+        # the solve reads the symmetry blocks only, so no peak holds the
+        # dense matrix
         system = lp.assemble_system(window, grid)
         unbuilt = []
         real_svd = lifting.thin_svd
@@ -62,8 +62,8 @@ class TestSolveBand:
 
         monkeypatch.setattr(lifting, "thin_svd", recording_svd)
         lp.solve_band(system, b_series["gaussian"])
-        assert unbuilt == [True, True]
-        assert system._matrix is not None
+        assert unbuilt == [True] * 4
+        assert system._matrix is None
 
     def test_dimension_mismatch(self, paper_system, small_setup):
         grid, _ = small_setup
@@ -351,6 +351,29 @@ class TestRecover:
         with pytest.raises(ConfigError, match="lifted matrix"):
             lp.recover(data, window)
 
+    @pytest.mark.parametrize("make_window, level, rank_tol", [
+        (lambda: lp.get_window("gaussian"), 0.0, None),
+        (lambda: lp.get_window("gaussian"), 1e-3, 1e-2),
+        (tilted_window, 0.0, None),
+    ], ids=["clean", "noisy", "tilted"])
+    def test_recover_never_builds_the_matrix(self, grid, gaussian, make_window,
+                                             level, rank_tol, monkeypatch):
+        # the solve and the refinement run on the held block factors, from
+        # a cold factorization on
+        window = make_window()
+        data = lp.measure(gaussian, window, grid, method="series",
+                          noise=lp.NoiseSpec(5, level) if level else None)
+        cfg = lp.RecoveryConfig(rank_tol) if rank_tol else None
+        expected = lp.recover(data, window, cfg).f_hat
+
+        def forbidden(self):
+            raise AssertionError("recover built the dense matrix")
+
+        monkeypatch.setattr(recovery, "_system_cache", {})
+        monkeypatch.setattr(lp.LiftedSystem, "matrix", property(forbidden))
+        got = lp.recover(data, window, cfg).f_hat
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
     def test_system_cache_shares_instances(self, window, grid):
         # the grid is its own key: equal grids share, unequal ones do not
         system = lp.cached_system(window, grid)
@@ -389,8 +412,8 @@ class TestRecover:
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        # one call per shift-parity block of the paper-grid matrix
-        assert calls == [(366, 1363), (305, 1302)]
+        # one call per symmetry block of the paper-grid matrix
+        assert calls == [(186, 689), (180, 674), (155, 658), (150, 644)]
         # concurrent BLAS calls may split sums differently: compare to 1e-9
         scale = np.linalg.norm(results[0].f_hat)
         assert all(np.linalg.norm(r.f_hat - results[0].f_hat) <= 1e-9 * scale
