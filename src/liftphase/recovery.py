@@ -10,7 +10,8 @@ positive-semidefinite matrices, which picks the physically meaningful
 representative and markedly improves the recovered magnitudes.  It runs
 at most ``MAX_SWEEPS`` sweeps, stopping on the gap plateau: after the
 sweep in which the rank-one iterate's distance from the solution set
-falls by less than 1%.
+falls by less than 1%.  Only its first sweep takes a dense eigensolve;
+later ones warm-start orthogonal iteration from the last top eigenvectors.
 ``angular_synchronize`` then reads magnitudes off the diagonal and phases
 off the leading eigenvector of the phase-normalized band matrix, and takes
 the eigen-gap from that matrix's dense spectrum.
@@ -48,6 +49,9 @@ MAGNITUDE_FLOOR = 1e-6
 PLATEAU_RATIO = 0.99
 #: Most refinement sweeps a recovery runs.
 MAX_SWEEPS = 30
+#: Top eigenvectors carried from sweep to sweep, orthogonal-iteration steps
+#: before a dense ``eigh``, and the relative eigen-residual that is enough.
+RITZ_VECTORS, RITZ_STEPS, RITZ_TOL = 4, 10, 1e-13
 #: Residual tolerance and iteration budget of the synchronization power
 #: iteration.
 POWER_TOL = 1e-10
@@ -182,12 +186,31 @@ def _kept(system: LiftedSystem, b: np.ndarray, rank_tol: float) -> list:
              block.vh[:r]) for block, r in zip(blocks, ranks)]
 
 
-def _rank_one_part(system: LiftedSystem, x: np.ndarray) -> np.ndarray:
+def _rank_one_part(system: LiftedSystem, x: np.ndarray,
+                   basis: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Dense dominant rank-one positive-semidefinite part of the Hermitian
-    matrix whose real coordinates are ``x``."""
-    evals, evecs = np.linalg.eigh(system.unpack(x))
-    vec = evecs[:, -1]
-    return max(float(evals[-1]), 0.0) * np.outer(vec, np.conj(vec))
+    matrix H whose real coordinates are ``x``, and H's top eigenvectors for
+    the next call.  From a ``basis`` V it takes at most ``RITZ_STEPS``
+    steps ``q = qr(H V)``, ``(λ, W) = eigh(qᴴ H q)``, ``V = q W``, until
+    the top Ritz pair has ‖Hv − λv‖ ≤ ``RITZ_TOL``·|λ|, λ > 0 and
+    2λ² > ‖H‖_F²: then any other eigenvalue μ has μ² ≤ ‖H‖_F² − λ² < λ².
+    Else, or with no basis, it keeps the top ``RITZ_VECTORS`` eigenvectors
+    of a dense ``eigh``."""
+    h = system.unpack(x)
+    for _ in range(0 if basis is None else RITZ_STEPS):
+        q = np.linalg.qr(h @ basis)[0]
+        hq = h @ q
+        evals, w = np.linalg.eigh(q.conj().T @ hq)
+        basis, lam = q @ w, float(evals[-1])
+        residual = np.linalg.norm(hq @ w[:, -1] - lam * basis[:, -1])
+        if (residual <= RITZ_TOL * abs(lam) and lam > 0
+                and 2 * lam ** 2 > np.linalg.norm(h) ** 2):
+            break
+    else:
+        evals, evecs = np.linalg.eigh(h)
+        basis, lam = evecs[:, -RITZ_VECTORS:], float(evals[-1])
+    vec = basis[:, -1]
+    return max(lam, 0.0) * np.outer(vec, np.conj(vec)), basis
 
 
 def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
@@ -208,8 +231,9 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
     solution set where the factors' backward error, amplified by s_1/s_min,
     moves it with the BLAS thread count.  The final iterate is the band of
     the rank-one part, whose diagonal and phases feed synchronization.  All
-    of it but the N x N eigensolves is real arithmetic in the system's real
-    coordinates.
+    of it but the rank-one parts is real arithmetic in the system's real
+    coordinates.  Each rank-one part after the first starts from the
+    previous one's eigenvectors, which this call alone holds.
 
     Returns the refined band, its relative residual and the sweep count.
     """
@@ -219,9 +243,10 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
         return [block.matrix @ block.columns_of(y) - rows
                 for block, rows, *_ in kept]
 
-    x, sweeps, previous = system.pack(f), 0, np.inf
+    x, sweeps, previous, basis = system.pack(f), 0, np.inf, None
     for sweeps in range(1, MAX_SWEEPS + 1):
-        y = system.pack(_rank_one_part(system, x))
+        part, basis = _rank_one_part(system, x, basis)
+        y = system.pack(part)
         gs = [(u.T @ r) / s for r, (_, _, u, s, _) in zip(mismatch(y), kept)]
         x = y - sum(block.from_columns(vt.T @ g, y.size)
                     for g, (block, *_, vt) in zip(gs, kept))
@@ -229,7 +254,7 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
         if gap > PLATEAU_RATIO * previous:
             break
         previous = gap
-    refined = system.restrict(_rank_one_part(system, x))
+    refined = system.restrict(_rank_one_part(system, x, basis)[0])
     resid = float(np.linalg.norm(np.concatenate(
         mismatch(system.pack(refined)))))
     bnorm = float(np.linalg.norm(b))

@@ -14,7 +14,7 @@ from liftphase.exceptions import (ConfigError, DegenerateSpectrum,
 
 from conftest import (BandWindows, align_phase, dense_column_oracle,
                       forward_lifted, random_lattice_vector, rank_one_banded,
-                      tilted_window)
+                      skewed_specimen, tilted_window)
 
 
 class TestSolveBand:
@@ -218,7 +218,125 @@ class TestRefinement:
         assert spectrum.diagnostics.refine_residual > 0
 
 
+LADDER_GRID = {"n_frequencies": 101, "n_shifts": 15,
+               "shift_spacing": 1.0 / 30.0, "delta": 7}
+
+
+def count_eigh(monkeypatch, n):
+    """The list to which every later ``np.linalg.eigh`` call on an n x n
+    array appends its shape."""
+    calls, real_eigh = [], np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        if a.shape[0] == n:
+            calls.append(a.shape)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+class TestWarmRankOnePart:
+    """The warm-started top eigenpair of the refinement against a dense
+    ``np.linalg.eigh`` of the same iterate."""
+
+    @staticmethod
+    def _dense_part(h):
+        evals, evecs = np.linalg.eigh(h)
+        lam, vec = float(evals[-1]), evecs[:, -1]
+        return lam, max(lam, 0.0) * np.outer(vec, np.conj(vec))
+
+    @pytest.mark.parametrize("level", [0.0, 1e-3], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("grid_size", ["paper", "101-15"])
+    def test_warm_pair_matches_dense_eigh(self, window, modulated, monkeypatch,
+                                          grid_size, level):
+        grid = lp.paper_grid() if grid_size == "paper" \
+            else lp.half_integer_grid(**LADDER_GRID)
+        data = lp.measure(modulated, window, grid, method="series",
+                          noise=lp.NoiseSpec(11, level))
+        system = lp.cached_system(window, grid)
+        system.factorization
+        calls, real_part = [], recovery._rank_one_part
+
+        def recording_part(system, x, basis):
+            part, kept = real_part(system, x, basis)
+            calls.append((x, basis, part, kept))
+            return part, kept
+
+        monkeypatch.setattr(recovery, "_rank_one_part", recording_part)
+        dense_calls = count_eigh(monkeypatch, grid.n_frequencies)
+        spectrum = lp.recover(data, window)
+        monkeypatch.undo()
+        # one dense eigh per recovery, in its first sweep; every later
+        # sweep and the final part start from the previous basis
+        assert len(dense_calls) == 1
+        assert len(calls) == spectrum.diagnostics.refine_sweeps + 1
+        assert calls[0][1] is None
+        assert all(basis is not None for _, basis, *_ in calls[1:])
+        for x, basis, part, kept in calls:
+            lam, expected = self._dense_part(system.unpack(x))
+            assert np.trace(part).real == pytest.approx(lam, rel=1e-12)
+            assert np.linalg.norm(part - expected) \
+                <= 1e-10 * np.linalg.norm(expected)
+            assert kept.shape == (grid.n_frequencies, recovery.RITZ_VECTORS)
+
+    def _check_fallback(self, system, h, monkeypatch):
+        """From a stale random basis, ``_rank_one_part`` must return the
+        dense top pair and basis.  In both cases below the rest of the
+        spectrum lies within 0.01 of zero, so orthogonal iteration
+        converges in a few steps, and only the certificate sends them to
+        the dense eigh."""
+        h = system.unpack(system.pack(h))  # as _rank_one_part sees it
+        rng = np.random.default_rng(5)
+        n = h.shape[0]
+        stale = np.linalg.qr(rng.standard_normal((n, recovery.RITZ_VECTORS))
+                             + 1j * rng.standard_normal(
+                                 (n, recovery.RITZ_VECTORS)))[0]
+        dense_calls = count_eigh(monkeypatch, n)
+        part, basis = recovery._rank_one_part(system, system.pack(h), stale)
+        monkeypatch.undo()
+        evals, evecs = np.linalg.eigh(h)
+        assert dense_calls == [(n, n)]
+        assert np.array_equal(part, self._dense_part(h)[1])
+        assert np.array_equal(basis, evecs[:, -recovery.RITZ_VECTORS:])
+
+    def test_dominant_negative_eigenvalue_falls_back(self, small_setup,
+                                                     monkeypatch):
+        # the top pair converges, but |λ_min| = 10 > λ1 = 0.5 leaves it
+        # uncertified: 2λ1² ≤ ‖H‖_F²
+        _, system = small_setup
+        d = np.random.default_rng(4).uniform(0.0, 0.01, 21)
+        d[[3, 12]] = -10.0, 0.5
+        self._check_fallback(system, np.diag(d).astype(complex), monkeypatch)
+
+    def test_double_top_eigenvalue_falls_back(self, small_setup, monkeypatch):
+        # λ1 = λ2: any vector of the top eigenspace has a zero residual,
+        # but 2λ1² ≤ ‖H‖_F² leaves it uncertified
+        _, system = small_setup
+        d = np.random.default_rng(6).uniform(0.0, 0.01, 21)
+        d[[2, 9]] = 3.0
+        self._check_fallback(system, np.diag(d).astype(complex), monkeypatch)
+
+
 class TestRecover:
+    @pytest.mark.parametrize("method, bound", [
+        ("series", 1.1 * 2.8616e-5), ("quadrature", 1.1 * 3.7632e-4)],
+        ids=["series", "quadrature"])
+    def test_complex_specimen(self, grid, window, method, bound):
+        # the one paper-scale input whose spectrum is complex and not even,
+        # so synchronization must find phases other than zero; with the
+        # phases dropped the error is 0.80
+        signal = skewed_specimen()
+        spectrum = lp.recover(lp.measure(signal, window, grid, method=method),
+                              window)
+        grid_pts = lp.default_grid()
+        assert lp.aligned_relative_error(lp.synthesize(spectrum, grid_pts),
+                                         signal) <= bound
+        unphased = lp.RecoveredSpectrum(np.abs(spectrum.f_hat),
+                                        spectrum.diagnostics)
+        assert lp.aligned_relative_error(lp.synthesize(unphased, grid_pts),
+                                         signal) > 0.5
+
     def test_zero_measurements(self, grid, window):
         data = lp.SpectrogramData(np.zeros(671), grid, provenance="series")
         spectrum = lp.recover(data, window)
