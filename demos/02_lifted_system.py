@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Inspect the lifted linear system: its closed form as shift phases times
 window kernels, the real measurement matrix over the real coordinates of
-the band, the four symmetry blocks its SVD is taken in, its rank, and its
-agreement with the series measurements.
+the band, the four symmetry blocks its SVD is taken in (only their factors
+are held), its rank, and its forward image, taken from the closed form
+without the matrix, against the matrix and the series measurements.
 
 The quadratic measurements are linear in the outer product of the unknown
 Fourier samples; each measurement row reads a small window of that matrix,
@@ -44,13 +45,14 @@ print("\n== singular spectrum ==")
 # columns of Phi); the kernels are also symmetric under the frequency
 # reflection r -> N-1-r, which splits each of those in two again.  The
 # blocks' thin SVDs are kept apart: together they are the whole matrix's.
+# Each block is held as its row and column maps and its factors only.
 eps = np.finfo(float).eps
 imaginary = np.abs(system.kernels.imag).max() / np.abs(system.kernels).max()
 print(f"max|Im c|/max|c| = {imaginary:.1e}")
 blocks = system.factorization
 print(f"{len(blocks)} symmetry blocks: "
-      + ", ".join(f"{m} x {c}" for m, c in (b.matrix.shape for b in blocks))
-      + f"; matrices and factors {sum(b.nbytes for b in blocks) / 1e6:.1f} MB")
+      + ", ".join(f"{b.u.shape[0]} x {b.vh.shape[1]}" for b in blocks)
+      + f"; maps and factors {sum(b.nbytes for b in blocks) / 1e6:.1f} MB")
 s = np.sort(np.concatenate([block.s for block in blocks]))[::-1]
 print(f"s_1 = {s[0]:.3e}, s_671 = {s[-1]:.3e} (ratio {s[-1] / s[0]:.2e})")
 print(f"rank at relative tolerance 1e-10: {int((s > 1e-10 * s[0]).sum())} "
@@ -60,10 +62,16 @@ print(f"margin of s_671 over the numerical-zero scale eps*s_1: "
 
 print("\n== lifted operator on the true outer product ==")
 truth = lp.get_signal("gaussian").fourier(grid.frequencies)
-lifted = system.matrix @ system.pack(np.outer(truth, truth.conj()))
-print(f"real matrix {system.matrix.shape}, {system.matrix.nbytes / 1e6:.1f} MB")
+outer = np.outer(truth, truth.conj())
+# forward applies A = Re(conj(Phi) (w_d q_d)) from the phases and kernels
+lifted = system.forward(outer)
+dense = system.matrix @ system.pack(outer)
+print(f"real matrix {system.matrix.shape}, {system.matrix.nbytes / 1e6:.1f} MB, "
+      f"built here only to check forward")
+print(f"forward(F) vs matrix @ pack(F), max abs / max: "
+      f"{np.abs(lifted - dense).max() / np.abs(dense).max():.1e}")
 
 series = lp.measure(lp.get_signal("gaussian"), window, grid,
                     method="series").values
-print(f"matrix @ pack(F) vs series measurements, rel l2: "
+print(f"forward(F) vs series measurements, rel l2: "
       f"{np.linalg.norm(lifted - series) / np.linalg.norm(series):.3e}")

@@ -11,9 +11,9 @@ weight on the entry F[i, i + d] of band diagonal d, at t = i - r, is
 a shift phase times a window kernel that does not depend on the shift:
 A = (Phi ⊗ I_N) blockdiag_d(H_d), where the shift-independent map H_d
 slides the kernel c_d along band diagonal d of F.  :class:`LiftedSystem`
-writes row blocks of A, a real matrix over real coordinates of the
-Hermitian band, from the phases and the kernels: the whole matrix, and the
-blocks that it factors.
+applies A, a real matrix over real coordinates of the Hermitian band, from
+the phases and the kernels, and writes rows of A from them: the whole
+matrix, and the blocks that it factors and then drops.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ConfigError, DimensionError
 from .forward import MeasurementGrid, check_shift
@@ -78,15 +79,14 @@ def _combine(a: np.ndarray, pairs: np.ndarray, weights: np.ndarray):
 
 @dataclass(frozen=True)
 class SymmetryBlock:
-    """A diagonal block ``M = R A Cᵀ`` of the lifted matrix A and its thin
-    SVD ``(u, s, vh)``: R is ``shifts ⊗ frequencies``, and C the
-    :func:`_pairs` map ``(pairs, weights)`` of the coordinates."""
+    """The thin SVD ``(u, s, vh)`` of a diagonal block ``M = R A Cᵀ`` of the
+    lifted matrix A, held without M: R is ``shifts ⊗ frequencies``, and C
+    the :func:`_pairs` map ``(pairs, weights)`` of the coordinates."""
 
     shifts: np.ndarray
     frequencies: np.ndarray
     pairs: np.ndarray
     weights: np.ndarray
-    matrix: np.ndarray
     u: np.ndarray
     s: np.ndarray
     vh: np.ndarray
@@ -99,14 +99,6 @@ class SymmetryBlock:
         """``R b`` of a measurement vector."""
         by_shift = b.reshape(self.shifts.shape[1], -1)
         return (self.shifts @ by_shift @ self.frequencies.T).ravel()
-
-    def columns_of(self, x: np.ndarray) -> np.ndarray:
-        """``C x`` of a coordinate vector."""
-        return _combine(x, self.pairs, self.weights)
-
-    def from_columns(self, z: np.ndarray, size: int) -> np.ndarray:
-        """``Cᵀ z``, a coordinate vector of length ``size``."""
-        return np.bincount(self.pairs.ravel(), (self.weights * z).ravel(), size)
 
 
 class LiftedSystem:
@@ -122,11 +114,12 @@ class LiftedSystem:
     order.  The coordinates are an isometry (``x . y`` is the Frobenius
     inner product of the two matrices) and differ from the complex entry
     coordinates by a unitary change of basis, so the real measurement
-    matrix has the singular values of the complex one.  The matrix and its
-    factorization are each computed from the phases and the kernels on
-    first access, under a per-system lock, and cached; the factorization
-    does not read the matrix.  A grid whose matrix would pass
-    ``MATRIX_BUDGET`` raises ConfigError before anything is built.
+    matrix has the singular values of the complex one.  :meth:`forward`
+    applies the matrix from the phases and the kernels alone.  The matrix
+    and its factorization are each computed from them on first access,
+    under a per-system lock, and cached; the factorization does not read
+    the matrix.  A grid whose matrix would pass ``MATRIX_BUDGET`` raises
+    ConfigError before anything is built.
 
     The factorization is the thin SVDs of up to four diagonal blocks
     ``M_b = R_b A C_bᵀ`` of two commuting symmetries (Z2 x Z2), whose
@@ -139,10 +132,11 @@ class LiftedSystem:
     _SPLIT_FLOOR * max|c|``.  The frequency reflection pairs the rows (k, r)
     and (k, N-1-r), and the coordinates of the entries (i, i+d) and
     (N-1-i-d, N-1-i), when ``c_d[-t-d] = c_d[t]`` within the same floor, as
-    for every real window and shift set.  Each parity block is built by
-    :meth:`_block` and paired into its reflection halves, which factor in
-    about a sixteenth of the whole matrix's flops.  A symmetry that fails,
-    or whose blocks would drop zero singular triplets, is not taken.
+    for every real window and shift set.  Each parity block is built one
+    shift row at a time by :meth:`_block`, into both reflection halves,
+    which factor in about a sixteenth of the whole matrix's flops and are
+    then dropped.  A symmetry that fails, or whose blocks would drop zero
+    singular triplets, is not taken.
     """
 
     def __init__(self, window: Window, grid: MeasurementGrid):
@@ -161,6 +155,10 @@ class LiftedSystem:
             state.setflags(write=False)
         offsets = np.subtract.outer(np.arange(n), np.arange(n))
         self.upper = np.nonzero((offsets < 0) & (offsets >= -self.band))
+        # forward's gather: band diagonal d, 2*delta zeros (index N*N) aside
+        i = np.arange(-2 * grid.delta, n + 2 * grid.delta)
+        self._diagonals = np.where((i >= 0) & (i + d[:, None] < n),
+                                   (n + 1) * i + d[:, None], n * n)
         self._matrix: np.ndarray | None = None
         self._factorization = None
         self._lock = threading.Lock()
@@ -203,12 +201,23 @@ class LiftedSystem:
         dense[self.upper[::-1]] = np.conj(upper)
         return dense
 
-    def _block(self, transform: np.ndarray, columns: slice) -> np.ndarray:
-        """Rows of the operator after the shift transform ``transform``: for
-        each row of ``transform @ phases``, the N rows of that phase row
-        times the kernels, in the layout of :meth:`pack`, restricted to
-        ``columns``.  The slice starts and stops on the boundaries between
-        the diagonal, Re-band and Im-band coordinates."""
+    def forward(self, dense: np.ndarray) -> np.ndarray:
+        """``matrix @ pack(dense)`` without the matrix: ``Re(conj(phases) @
+        (w q))``, w_0 = 1, w_d = 2 for d > 0, ``q_d[r] = sum_t conj(c_d[t])
+        dense[r+t, r+t+d]``, read from the diagonal and upper band only."""
+        diagonals = np.append(dense.ravel(), 0.0)[self._diagonals]
+        width = len(self.kernels)
+        windows = sliding_window_view(diagonals, width, axis=1)
+        weights = np.where(np.arange(width) > 0, 2.0, 1.0)[:, None]
+        q = windows @ (weights * np.conj(self.kernels))[..., None]
+        return (np.conj(self.phases) @ q[..., 0]).real.ravel()
+
+    def _block(self, transform: np.ndarray, columns: slice):
+        """Yield, for each row of ``transform @ phases``, the N rows of the
+        operator that weigh the kernels with that phase row, in the layout
+        of :meth:`pack`, restricted to ``columns``.  The slice starts and
+        stops on the boundaries between the diagonal, Re-band and Im-band
+        coordinates."""
         n, width = self.grid.n_frequencies, self.band + 1
         index = []  # per row, each entry's weight in the padded kernels
         for i, j in ((np.arange(n),) * 2, self.upper):
@@ -218,9 +227,8 @@ class LiftedSystem:
         diagonal, upper = index
         cut = n + upper.shape[1]  # diagonal and Re-band | Im-band
         start, stop, _ = columns.indices(self.n_unknowns)
-        block = np.empty((len(transform) * n, stop - start))
-        for rows, phase in zip(np.split(block, len(transform)),
-                               transform @ self.phases):
+        for phase in transform @ self.phases:
+            rows = np.empty((n, stop - start))
             kernel = np.append((phase[:, None] * self.kernels).ravel(), 0.0)
             for lo, source, where in ((0, kernel.real, diagonal),
                                       (n, _SQRT2 * kernel.real, upper),
@@ -228,25 +236,25 @@ class LiftedSystem:
                 hi = lo + where.shape[1]
                 if start <= lo and hi <= stop:
                     np.take(source, where, out=rows[:, lo - start:hi - start])
-        return block
+            yield rows
 
     @property
     def matrix(self) -> np.ndarray:
         """Real measurement matrix (n_measurements x n_unknowns).
 
         Row (k, r) holds ``exp(i pi l_k d) c_d[i - r]`` at entry (i, i + d)
-        of the band, in the real coordinates of :meth:`pack`: the one row
-        block of the identity shift transform.
+        of the band, in the real coordinates of :meth:`pack`: the rows of
+        the identity shift transform.  :meth:`forward` applies it unbuilt.
         """
         with self._lock:
             if self._matrix is None:
-                self._matrix = self._block(np.eye(self.grid.n_shifts),
-                                           slice(None))
+                self._matrix = np.concatenate(list(self._block(
+                    np.eye(self.grid.n_shifts), slice(None))))
             return self._matrix
 
     @property
     def factorization(self):
-        """The cached symmetry blocks of the real matrix, each with its
+        """The cached symmetry blocks of the real matrix, each its maps and
         thin SVD, ``u`` and ``vh`` C-contiguous (see the class docstring)."""
         with self._lock:
             if self._factorization is None:
@@ -283,9 +291,9 @@ class LiftedSystem:
         """The symmetry blocks, each factored (see the class docstring):
         of both symmetries, one or none, the first whose blocks keep the
         whole matrix's count of singular triplets (a wide block beside a
-        tall one would drop zero triplets).  Each shift-parity row block is
-        built once and paired into its reflection halves."""
-        n, coordinates = self.grid.n_frequencies, np.arange(self.n_unknowns)
+        tall one would drop zero triplets).  Each shift row of a parity part
+        is built once, into both reflection halves, which are factored."""
+        coordinates = np.arange(self.n_unknowns)
         for (shifts, parts), (frequencies, partners) in self._symmetries():
             halves = [(_dense(shifts, sign), part, _dense(frequencies, flip),
                        _pairs(coordinates[part], partners, flip))
@@ -296,14 +304,18 @@ class LiftedSystem:
                    for rows, _, freq, cols in halves) \
                     == min(self.n_measurements, self.n_unknowns):
                 break
-        blocks, built = [], None
-        for rows, part, freq, (pairs, weights) in halves:
-            if built is None or built[0] is not part:
-                built = part, self._block(rows, part).reshape(len(rows), n, -1)
-            matrix = _combine((freq @ built[1]).reshape(-1, built[1].shape[2]),
-                              pairs - (part.start or 0), weights)
-            blocks.append(SymmetryBlock(rows, freq, pairs, weights, matrix,
-                                        *thin_svd(matrix)))
+        blocks = []
+        for part, group in itertools.groupby(halves, lambda half: half[1]):
+            group = list(group)
+            matrices = [np.empty((len(rows), len(freq), cols[0].shape[1]))
+                        for rows, _, freq, cols in group]
+            for k, built in enumerate(self._block(group[0][0], part)):
+                for h, (_, _, freq, (pairs, weights)) in enumerate(group):
+                    matrices[h][k] = _combine(
+                        freq @ built, pairs - (part.start or 0), weights)
+            blocks += [SymmetryBlock(rows, freq, *cols, *thin_svd(
+                matrices.pop(0).reshape(len(rows) * len(freq), -1)))
+                       for rows, _, freq, cols in group]
         return tuple(blocks)
 
 

@@ -12,9 +12,11 @@ at most ``MAX_SWEEPS`` sweeps, stopping on the gap plateau: after the
 sweep in which the rank-one iterate's distance from the solution set
 falls by less than 1%.  Only its first sweep takes a dense eigensolve;
 later ones warm-start orthogonal iteration from the last top eigenvectors.
-``angular_synchronize`` then reads magnitudes off the diagonal and phases
-off the leading eigenvector of the phase-normalized band matrix, and takes
-the eigen-gap from that matrix's dense spectrum.
+The solve and the refinement read only the held block factors and
+``LiftedSystem.forward``.  ``angular_synchronize`` then reads magnitudes
+off the diagonal and phases off the leading eigenvector of the
+phase-normalized band matrix, and takes the eigen-gap from that matrix's
+dense spectrum.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DegenerateSpectrum, DimensionError
 from .forward import MeasurementGrid, SpectrogramData, half_integer_lattice
+# perfbench wraps min_norm_least_squares here until ROADMAP item 1, step B
 from .kernels import BandedMatrix, leading_eigenvector, min_norm_least_squares
 from .lifting import LiftedSystem, assemble_system
 from .signals import Window
@@ -121,13 +124,13 @@ _cache_lock = threading.Lock()
 
 
 def cached_system(window: Window, grid: MeasurementGrid) -> LiftedSystem:
-    """Assembled system, shared per (window, grid), so its matrix and
-    factorization are computed once and then reused.
+    """Assembled system, shared per (window, grid), so its factorization
+    is computed once and then reused.
 
-    Only the lookup and the assembly run under the cache lock.  The matrix
-    and its factorization are computed lazily under the system's own lock,
-    so recoveries that start concurrently on a new system compute them
-    once, and recoveries on other systems do not wait for them.
+    Only the lookup and the assembly run under the cache lock.  The
+    factorization is computed lazily under the system's own lock, so
+    recoveries that start concurrently on a new system compute it once,
+    and recoveries on other systems do not wait for it.
     """
     key = (window.key, grid)
     with _cache_lock:
@@ -143,10 +146,10 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
                ) -> tuple[np.ndarray, RecoveryDiagnostics]:
     """Minimum-norm least-squares solve for the banded unknown.
 
-    The solve runs in the system's real coordinates, per symmetry block of
-    :attr:`LiftedSystem.factorization`; the blocks' row and column maps are
-    orthogonal, so their solutions mapped back, squared residuals and ranks
-    add up to the whole system's.  :meth:`LiftedSystem.unpack` turns the
+    It runs on the factors that :attr:`LiftedSystem.factorization` holds,
+    ``x = Σ_b C_bᵀ vh_bᵀ (u_bᵀ R_b b / s_b)`` in real coordinates, whose
+    ranks add up to the whole system's, and its residual is the operator's,
+    ``‖forward(F) - b‖``.  :meth:`LiftedSystem.unpack` turns the
     solution into a Hermitian N x N array with no projection step, because
     every real coordinate vector describes one.  The operator's null space
     can push diagonal entries slightly negative; that mass is reported as a
@@ -158,32 +161,38 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
     cfg = cfg or RecoveryConfig.for_data(data)
     if data.values.shape != (system.n_measurements,):
         raise DimensionError("measurement vector does not match the system")
-    x, squared, rank = np.zeros(system.n_unknowns), 0.0, 0
-    for block, rows, *factors in _kept(system, data.values, cfg.rank_tol):
-        xb, residual, kept = min_norm_least_squares(
-            block.matrix, rows, rank_tol=cfg.rank_tol, factorization=factors)
-        x += block.from_columns(xb, x.size)
-        squared, rank = squared + residual ** 2, rank + kept
+    scaled, lift, rank = _factors(system, cfg.rank_tol)
+    f = system.unpack(lift(scaled(data.values)))
     bnorm = float(np.linalg.norm(data.values))
-    rel_residual = float(np.sqrt(squared)) / bnorm if bnorm > 0 else 0.0
-    f = system.unpack(x)
+    residual = float(np.linalg.norm(system.forward(f) - data.values))
     diag = f.diagonal().real
     clamped = float(-diag[diag < 0].sum())
     trace = float(diag[diag > 0].sum())
     return f, RecoveryDiagnostics(
-        rel_residual, rank=rank,
+        residual / bnorm if bnorm > 0 else 0.0, rank=rank,
         clamped_fraction=clamped / trace if trace > 0 else 0.0)
 
 
-def _kept(system: LiftedSystem, b: np.ndarray, rank_tol: float) -> list:
-    """Per symmetry block: the block, its rows of ``b`` and its singular
-    triplets above ``rank_tol`` times the largest of all blocks, as prefix
-    views ``(u, s, vh)``."""
+def _factors(system: LiftedSystem, rank_tol: float) -> tuple:
+    """The symmetry blocks' singular triplets above ``rank_tol`` times the
+    largest of all blocks, as two maps and their count, the rank: ``r ↦
+    [(u_bᵀ R_b r) / s_b]``, one array per block, and ``[g_b] ↦ Σ_b C_bᵀ
+    vh_bᵀ g_b``, the sum one ``np.bincount`` over all the blocks' pairs."""
     blocks = system.factorization
     cutoff = rank_tol * max(block.s.max(initial=0.0) for block in blocks)
     ranks = [int(np.count_nonzero(block.s > cutoff)) for block in blocks]
-    return [(block, block.rows_of(b), block.u[:, :r], block.s[:r],
-             block.vh[:r]) for block, r in zip(blocks, ranks)]
+    kept = [(block, block.u[:, :r], block.s[:r], block.vh[:r])
+            for block, r in zip(blocks, ranks)]
+    pairs = np.concatenate([block.pairs for block in blocks], axis=1).ravel()
+    weights = np.concatenate([block.weights for block in blocks], axis=1)
+
+    def scaled(r):
+        return [(u.T @ block.rows_of(r)) / s for block, u, s, _ in kept]
+
+    def lift(gs):
+        z = np.concatenate([vh.T @ g for g, (*_, vh) in zip(gs, kept)])
+        return np.bincount(pairs, (weights * z).ravel(), system.n_unknowns)
+    return scaled, lift, sum(ranks)
 
 
 def _rank_one_part(system: LiftedSystem, x: np.ndarray,
@@ -222,41 +231,35 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
     Each sweep replaces the iterate by its dominant rank-one part y and
     then moves back onto the solution set by subtracting the minimum-norm
     correction, on the singular triplets that the solve keeps, of the
-    measurement mismatch: per symmetry block (rows R, columns C, matrix M),
-    ``Cᵀ vtᵀ g`` with ``g = (uᵀ (M C y - R b)) / s``.  ``vt`` has
-    orthonormal rows, so the norm of all ``g`` is the distance of y from
-    the solution set; refinement stops after the sweep in which it exceeds
-    ``PLATEAU_RATIO`` times the previous sweep's.  The mismatch is taken
-    against M, not as ``vt C y - (uᵀ R b) / s``: that form puts the
-    solution set where the factors' backward error, amplified by s_1/s_min,
-    moves it with the BLAS thread count.  The final iterate is the band of
-    the rank-one part, whose diagonal and phases feed synchronization.  All
-    of it but the rank-one parts is real arithmetic in the system's real
-    coordinates.  Each rank-one part after the first starts from the
-    previous one's eigenvectors, which this call alone holds.
+    mismatch ``r = A y - b``: per symmetry block (rows R, columns C),
+    ``Cᵀ vtᵀ g`` with ``g = (uᵀ R r) / s``.  ``vt`` has orthonormal rows,
+    so the norm of all ``g`` is the distance of y from the solution set;
+    refinement stops after the sweep in which it exceeds ``PLATEAU_RATIO``
+    times the previous sweep's.  r is taken against A by
+    :meth:`LiftedSystem.forward`, not as ``vt C y - (uᵀ R b) / s``, which
+    moves the solution set with the factors' backward error.  The
+    correction takes r afresh, so no rounding stays in the iterate; the
+    distance reads an r carried by the image of each change of y, whose
+    rounding scales with that change, so rounding does not trip the stop.
+    The final iterate is the band of the rank-one part.  Each rank-one
+    part after the first starts from the previous one's eigenvectors,
+    which this call alone holds.
 
     Returns the refined band, its relative residual and the sweep count.
     """
-    kept = _kept(system, b, cfg.rank_tol)
-
-    def mismatch(y):
-        return [block.matrix @ block.columns_of(y) - rows
-                for block, rows, *_ in kept]
-
+    scaled, lift, _ = _factors(system, cfg.rank_tol)
     x, sweeps, previous, basis = system.pack(f), 0, np.inf, None
+    carried, last = -b, 0.0
     for sweeps in range(1, MAX_SWEEPS + 1):
         part, basis = _rank_one_part(system, x, basis)
-        y = system.pack(part)
-        gs = [(u.T @ r) / s for r, (_, _, u, s, _) in zip(mismatch(y), kept)]
-        x = y - sum(block.from_columns(vt.T @ g, y.size)
-                    for g, (block, *_, vt) in zip(gs, kept))
-        gap = float(np.linalg.norm(np.concatenate(gs)))
+        carried, last = carried + system.forward(part - last), part
+        x = system.pack(part) - lift(scaled(system.forward(part) - b))
+        gap = float(np.linalg.norm(np.concatenate(scaled(carried))))
         if gap > PLATEAU_RATIO * previous:
             break
         previous = gap
     refined = system.restrict(_rank_one_part(system, x, basis)[0])
-    resid = float(np.linalg.norm(np.concatenate(
-        mismatch(system.pack(refined)))))
+    resid = float(np.linalg.norm(system.forward(refined) - b))
     bnorm = float(np.linalg.norm(b))
     return refined, (resid / bnorm if bnorm > 0 else 0.0), sweeps
 

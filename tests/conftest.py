@@ -160,14 +160,17 @@ def merged_factorization(system):
     block's ``u`` taken back through its rows R (``Rᵀ u_b``), its ``vh``
     through its columns C (``vh_b C``), and the triplets merged by
     descending singular value.  ``R`` is read off by mapping unit vectors,
-    and ``Cᵀ`` is applied to each row of ``vh_b``."""
+    and ``Cᵀ``, a sum over the block's index pairs, is applied to each row
+    of ``vh_b``."""
     us, ss, vhs = [], [], []
     for block in system.factorization:
         rows = np.array([block.rows_of(e)
                          for e in np.eye(system.n_measurements)])
         us.append(rows @ block.u)
         ss.append(block.s)
-        vhs.append(np.array([block.from_columns(row, system.n_unknowns)
+        vhs.append(np.array([np.bincount(block.pairs.ravel(),
+                                         (block.weights * row).ravel(),
+                                         system.n_unknowns)
                              for row in block.vh]).reshape(-1, system.n_unknowns))
     s = np.concatenate(ss)
     order = np.argsort(-s, kind="stable")

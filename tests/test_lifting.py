@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,8 +198,10 @@ class TestAssembleSystem:
         assert sizes == [width]
         stored = {name: value.shape for name, value in vars(system).items()
                   if isinstance(value, np.ndarray)}
+        # forward's gather of the padded band diagonals is the third
         assert stored == {"phases": (grid.n_shifts, width),
-                          "kernels": (width, width)}
+                          "kernels": (width, width),
+                          "_diagonals": (width, grid.n_frequencies + width - 1)}
         assert system.matrix.shape == (system.n_measurements, system.n_unknowns)
 
     def test_pack_unpack_round_trip(self, small_setup):
@@ -278,7 +282,8 @@ class TestFactorization:
         s = check_against_dense_svd(paper_system)
         assert int((s > 1e-10 * s[0]).sum()) == 671
         assert s[-1] / s[0] == pytest.approx(9.608e-9, rel=1e-3)
-        assert [block.matrix.shape for block in paper_system.factorization] \
+        assert [(block.u.shape[0], block.vh.shape[1])
+                for block in paper_system.factorization] \
             == [(186, 689), (180, 674), (155, 658), (150, 644)]
 
     def test_ladder_grid_matches_dense_svd(self, window, monkeypatch):
@@ -327,6 +332,52 @@ class TestFactorization:
         assert shapes == [(186, 689), (180, 674), (155, 658), (150, 644)]
         _, s, _ = merged_factorization(system)
         assert int((s > 1e-10 * s[0]).sum()) == 61
+
+    def test_blocks_hold_only_maps_and_factors(self, window):
+        # a cold factorization of the paper grid keeps no block matrix, and
+        # its tracemalloc peak stays below the 13.9 MB that building and
+        # holding the block matrices took
+        system = lp.assemble_system(window, lp.paper_grid())
+        tracemalloc.start()
+        try:
+            blocks = system.factorization
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9e6
+        for block in blocks:
+            assert not hasattr(block, "matrix")
+            assert block.nbytes == sum(part.nbytes for part in (
+                block.shifts, block.frequencies, block.pairs, block.weights,
+                block.u, block.s, block.vh))
+
+
+class TestStructuredForward:
+    """``LiftedSystem.forward`` against the dense matrix: the image of a
+    Hermitian band from the phases and the kernels alone, on inputs that
+    take every path of the symmetry split."""
+
+    @pytest.mark.parametrize("make_window", [
+        lambda: lp.get_window("gaussian"), chirped_window, tilted_window],
+        ids=["gaussian", "chirped", "tilted"])
+    @pytest.mark.parametrize("shifts", [
+        None, (-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4), (0.0,)],
+        ids=["paper", "asymmetric", "one-shift"])
+    def test_matches_the_matrix(self, make_window, shifts):
+        grid = lp.paper_grid() if shifts is None else lp.MeasurementGrid(
+            shifts, lp.half_integer_grid(21, 1, 0.1, 3).frequencies, 3)
+        system = lp.assemble_system(make_window(), grid)
+        n = grid.n_frequencies
+        rng = np.random.default_rng(n + len(grid.shifts))
+        f = random_banded_hermitian(n, system.band, rng)
+        b = system.matrix @ system.pack(f)
+        image = system.forward(f)
+        assert image.shape == b.shape
+        assert np.max(np.abs(image - b)) <= 1e-14 * np.max(np.abs(b))
+        # entries outside the band are not read
+        junk = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        outside = np.triu(junk, system.band + 1) + np.tril(junk, -system.band - 1)
+        assert np.array_equal(system.forward(f + outside), image)
 
 
 class TestForwardLifted:

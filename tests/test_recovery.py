@@ -65,6 +65,23 @@ class TestSolveBand:
         assert unbuilt == [True] * 4
         assert system._matrix is None
 
+    @pytest.mark.parametrize("method", ["quadrature", "series"])
+    @pytest.mark.parametrize("signal", ["gaussian", "modulated"])
+    def test_residuals_match_the_matrix_route(self, paper_system, b_quad,
+                                              b_series, signal, method):
+        # the solve's and the refinement's residuals are the operator's,
+        # taken through forward: the dense matrix gives them to 1e-14
+        data = (b_quad if method == "quadrature" else b_series)[signal]
+        b, a = data.values, paper_system.matrix
+        bnorm = np.linalg.norm(b)
+        f, diagnostics = lp.solve_band(paper_system, data)
+        assert abs(diagnostics.residual - np.linalg.norm(
+            a @ paper_system.pack(f) - b) / bnorm) <= 1e-14
+        refined, residual, _ = recovery._refine_rank_one(
+            paper_system, b, f, lp.RecoveryConfig.for_data(data))
+        assert abs(residual - np.linalg.norm(
+            a @ paper_system.pack(refined) - b) / bnorm) <= 1e-14
+
     def test_dimension_mismatch(self, paper_system, small_setup):
         grid, _ = small_setup
         data = lp.SpectrogramData(np.zeros(grid.n_shifts * grid.n_frequencies),
