@@ -96,9 +96,9 @@ class SymmetryBlock:
         return sum(part.nbytes for part in vars(self).values())
 
     def rows_of(self, b: np.ndarray) -> np.ndarray:
-        """``R b`` of a measurement vector."""
-        by_shift = b.reshape(self.shifts.shape[1], -1)
-        return (self.shifts @ by_shift @ self.frequencies.T).ravel()
+        """``R b`` of each measurement vector in the stack ``b``."""
+        by_shift = b.reshape(len(b), self.shifts.shape[1], -1)
+        return (self.shifts @ by_shift @ self.frequencies.T).reshape(len(b), -1)
 
 
 class LiftedSystem:
@@ -115,7 +115,8 @@ class LiftedSystem:
     inner product of the two matrices) and differ from the complex entry
     coordinates by a unitary change of basis, so the real measurement
     matrix has the singular values of the complex one.  :meth:`forward`
-    applies the matrix from the phases and the kernels alone.  The matrix
+    applies the matrix from the phases and the kernels alone, and
+    :meth:`image` its image of a rank-one ``w wᴴ`` from ``w``.  The matrix
     and its factorization are each computed from them on first access,
     under a per-system lock, and cached; the factorization does not read
     the matrix.  A grid whose matrix would pass ``MATRIX_BUDGET`` raises
@@ -147,7 +148,8 @@ class LiftedSystem:
         self.grid = grid
         self.band = 4 * grid.delta
         d = np.arange(self.band + 1)
-        ghat = window.fourier(-(d - 2 * grid.delta) / 2.0)
+        t = d - 2 * grid.delta
+        ghat = window.fourier(-t / 2.0)
         self.phases = np.exp(1j * np.pi * np.multiply.outer(grid.shifts, d))
         reach = np.minimum(d[:, None] + d, self.band + 1)  # t + d, or past it
         self.kernels = 0.25 * np.conj(ghat) * np.append(ghat, 0.0)[reach]
@@ -159,6 +161,11 @@ class LiftedSystem:
         i = np.arange(-2 * grid.delta, n + 2 * grid.delta)
         self._diagonals = np.where((i >= 0) & (i + d[:, None] < n),
                                    (n + 1) * i + d[:, None], n * n)
+        # image's taps B[t, k] and gather of w[r + t], which reads index N,
+        # a padded zero, wherever r + t is off the grid
+        self._taps = 0.5 * ghat[:, None] * np.exp(
+            1j * np.pi * np.multiply.outer(t, grid.shifts))
+        self._windows = np.clip(np.arange(n)[:, None] + t, -1, n) % (n + 1)
         self._matrix: np.ndarray | None = None
         self._factorization = None
         self._lock = threading.Lock()
@@ -200,6 +207,13 @@ class LiftedSystem:
         dense[self.upper] = upper
         dense[self.upper[::-1]] = np.conj(upper)
         return dense
+
+    def image(self, w: np.ndarray) -> np.ndarray:
+        """``W_w B`` of each vector w of a stack, ``W_w[r, t] = w[r + t]``
+        (zero off the grid), ``B[t, k] = ghat(-t/2) exp(i pi l_k t) / 2``, in
+        measurement order: ``forward(outer(w, conj(w))) = |image(w)|²``."""
+        padded = np.append(w, np.zeros((len(w), 1)), axis=1)[:, self._windows]
+        return (padded @ self._taps).transpose(0, 2, 1).reshape(len(w), -1)
 
     def forward(self, dense: np.ndarray) -> np.ndarray:
         """``matrix @ pack(dense)`` without the matrix: ``Re(conj(phases) @

@@ -12,11 +12,12 @@ at most ``MAX_SWEEPS`` sweeps, stopping on the gap plateau: after the
 sweep in which the rank-one iterate's distance from the solution set
 falls by less than 1%.  Only its first sweep takes a dense eigensolve;
 later ones warm-start orthogonal iteration from the last top eigenvectors.
-The solve and the refinement read only the held block factors and
-``LiftedSystem.forward``.  ``angular_synchronize`` then reads magnitudes
-off the diagonal and phases off the leading eigenvector of the
-phase-normalized band matrix, and takes the eigen-gap from that matrix's
-dense spectrum.
+The solve and the refinement read only the held block factors and the
+operator's images: ``LiftedSystem.forward`` for the solve's residual, and
+``LiftedSystem.image`` of the iterate's top eigenvector for each sweep.
+``angular_synchronize`` then reads magnitudes off the diagonal and phases
+off the leading eigenvector of the phase-normalized band matrix, whose
+dense spectrum gives the eigen-gap and the power iteration's shift.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
     if data.values.shape != (system.n_measurements,):
         raise DimensionError("measurement vector does not match the system")
     scaled, lift, rank = _factors(system, cfg.rank_tol)
-    f = system.unpack(lift(scaled(data.values)))
+    f = system.unpack(lift([g[0] for g in scaled(data.values[None])]))
     bnorm = float(np.linalg.norm(data.values))
     residual = float(np.linalg.norm(system.forward(f) - data.values))
     diag = f.diagonal().real
@@ -176,7 +177,7 @@ def solve_band(system: LiftedSystem, data: SpectrogramData,
 def _factors(system: LiftedSystem, rank_tol: float) -> tuple:
     """The symmetry blocks' singular triplets above ``rank_tol`` times the
     largest of all blocks, as two maps and their count, the rank: ``r ↦
-    [(u_bᵀ R_b r) / s_b]``, one array per block, and ``[g_b] ↦ Σ_b C_bᵀ
+    [(u_bᵀ R_b r) / s_b]`` per block, r a stack, and ``[g_b] ↦ Σ_b C_bᵀ
     vh_bᵀ g_b``, the sum one ``np.bincount`` over all the blocks' pairs."""
     blocks = system.factorization
     cutoff = rank_tol * max(block.s.max(initial=0.0) for block in blocks)
@@ -187,7 +188,7 @@ def _factors(system: LiftedSystem, rank_tol: float) -> tuple:
     weights = np.concatenate([block.weights for block in blocks], axis=1)
 
     def scaled(r):
-        return [(u.T @ block.rows_of(r)) / s for block, u, s, _ in kept]
+        return [block.rows_of(r) @ u / s for block, u, s, _ in kept]
 
     def lift(gs):
         z = np.concatenate([vh.T @ g for g, (*_, vh) in zip(gs, kept)])
@@ -195,31 +196,29 @@ def _factors(system: LiftedSystem, rank_tol: float) -> tuple:
     return scaled, lift, sum(ranks)
 
 
-def _rank_one_part(system: LiftedSystem, x: np.ndarray,
-                   basis: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Dense dominant rank-one positive-semidefinite part of the Hermitian
-    matrix H whose real coordinates are ``x``, and H's top eigenvectors for
-    the next call.  From a ``basis`` V it takes at most ``RITZ_STEPS``
-    steps ``q = qr(H V)``, ``(λ, W) = eigh(qᴴ H q)``, ``V = q W``, until
-    the top Ritz pair has ‖Hv − λv‖ ≤ ``RITZ_TOL``·|λ|, λ > 0 and
-    2λ² > ‖H‖_F²: then any other eigenvalue μ has μ² ≤ ‖H‖_F² − λ² < λ².
-    Else, or with no basis, it keeps the top ``RITZ_VECTORS`` eigenvectors
-    of a dense ``eigh``."""
-    h = system.unpack(x)
+def _rank_one_part(system: LiftedSystem, x: np.ndarray, basis: np.ndarray | None
+                   ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Top eigenpair (λ, v) of the Hermitian matrix H whose real
+    coordinates are ``x``, whose dominant rank-one positive-semidefinite
+    part is max(λ, 0)·vvᴴ, and H's top eigenvectors for the next call.
+    From a ``basis`` V it takes at most ``RITZ_STEPS`` steps ``q = qr(H² V)``,
+    ``(λ, W) = eigh(qᴴ H q)``, ``V = q W``, until the top Ritz pair has
+    ‖Hv − λv‖ ≤ ``RITZ_TOL``·|λ|, λ > 0 and 2λ² > ‖H‖_F² = ‖x‖²: then any
+    other eigenvalue μ has μ² ≤ ‖H‖_F² − λ² < λ².  Else, or with no basis,
+    it keeps the top ``RITZ_VECTORS`` eigenvectors of a dense ``eigh``."""
+    h, norm2 = system.unpack(x), float(x @ x)
     for _ in range(0 if basis is None else RITZ_STEPS):
-        q = np.linalg.qr(h @ basis)[0]
+        q = np.linalg.qr(h @ (h @ basis))[0]
         hq = h @ q
         evals, w = np.linalg.eigh(q.conj().T @ hq)
         basis, lam = q @ w, float(evals[-1])
         residual = np.linalg.norm(hq @ w[:, -1] - lam * basis[:, -1])
-        if (residual <= RITZ_TOL * abs(lam) and lam > 0
-                and 2 * lam ** 2 > np.linalg.norm(h) ** 2):
+        if residual <= RITZ_TOL * abs(lam) and lam > 0 and 2 * lam ** 2 > norm2:
             break
     else:
         evals, evecs = np.linalg.eigh(h)
         basis, lam = evecs[:, -RITZ_VECTORS:], float(evals[-1])
-    vec = basis[:, -1]
-    return max(lam, 0.0) * np.outer(vec, np.conj(vec)), basis
+    return lam, basis[:, -1], basis
 
 
 def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
@@ -228,40 +227,47 @@ def _refine_rank_one(system: LiftedSystem, b: np.ndarray, f: np.ndarray,
     rank-one positive-semidefinite cone, for at most ``MAX_SWEEPS`` sweeps,
     stopping on the gap plateau.
 
-    Each sweep replaces the iterate by its dominant rank-one part y and
-    then moves back onto the solution set by subtracting the minimum-norm
-    correction, on the singular triplets that the solve keeps, of the
-    mismatch ``r = A y - b``: per symmetry block (rows R, columns C),
+    Each sweep replaces the iterate by its dominant rank-one part y = wwᴴ,
+    w = √λ·v, and then moves back onto the solution set by subtracting the
+    minimum-norm correction, on the singular triplets that the solve keeps,
+    of the mismatch ``r = A y - b``: per symmetry block (rows R, columns C),
     ``Cᵀ vtᵀ g`` with ``g = (uᵀ R r) / s``.  ``vt`` has orthonormal rows,
     so the norm of all ``g`` is the distance of y from the solution set;
     refinement stops after the sweep in which it exceeds ``PLATEAU_RATIO``
-    times the previous sweep's.  r is taken against A by
-    :meth:`LiftedSystem.forward`, not as ``vt C y - (uᵀ R b) / s``, which
+    times the previous sweep's.  r is taken against A, as ``|W_w B|² - b``
+    (:meth:`LiftedSystem.image`), not as ``vt C y - (uᵀ R b) / s``, which
     moves the solution set with the factors' backward error.  The
     correction takes r afresh, so no rounding stays in the iterate; the
-    distance reads an r carried by the image of each change of y, whose
-    rounding scales with that change, so rounding does not trip the stop.
-    The final iterate is the band of the rank-one part.  Each rank-one
-    part after the first starts from the previous one's eigenvectors,
-    which this call alone holds.
+    distance reads an r carried by the images ``Re(W_d B conj(W_s B))`` of
+    the changes of y, d = w − w' and s = w + w' for the last sweep's w' and
+    w phase-aligned to it, whose rounding scales with d and does not trip
+    the stop.  Both r take one product per block.  The final iterate is
+    the band of the rank-one part.  Each rank-one part after the first
+    starts from the previous one's eigenvectors, which this call holds.
 
     Returns the refined band, its relative residual and the sweep count.
     """
     scaled, lift, _ = _factors(system, cfg.rank_tol)
     x, sweeps, previous, basis = system.pack(f), 0, np.inf, None
-    carried, last = -b, 0.0
+    carried, last = -b, np.zeros(len(f))
     for sweeps in range(1, MAX_SWEEPS + 1):
-        part, basis = _rank_one_part(system, x, basis)
-        carried, last = carried + system.forward(part - last), part
-        x = system.pack(part) - lift(scaled(system.forward(part) - b))
-        gap = float(np.linalg.norm(np.concatenate(scaled(carried))))
+        lam, vec, basis = _rank_one_part(system, x, basis)
+        w = np.sqrt(max(lam, 0.0)) * vec
+        w *= np.exp(1j * np.angle(np.vdot(w, last)))
+        image, change, total = system.image(np.stack([w, w - last, w + last]))
+        carried, last = carried + (change * np.conj(total)).real, w
+        gs = scaled(np.stack([np.abs(image) ** 2 - b, carried]))
+        x = system.pack(np.outer(w, np.conj(w))) - lift([g[0] for g in gs])
+        gap = float(np.linalg.norm(np.concatenate([g[1] for g in gs])))
         if gap > PLATEAU_RATIO * previous:
             break
         previous = gap
-    refined = system.restrict(_rank_one_part(system, x, basis)[0])
-    resid = float(np.linalg.norm(system.forward(refined) - b))
+    lam, vec, _ = _rank_one_part(system, x, basis)
+    w = np.sqrt(max(lam, 0.0)) * vec
+    resid = float(np.linalg.norm(np.abs(system.image(w[None])[0]) ** 2 - b))
     bnorm = float(np.linalg.norm(b))
-    return refined, (resid / bnorm if bnorm > 0 else 0.0), sweeps
+    return (system.restrict(np.outer(w, np.conj(w))),
+            (resid / bnorm if bnorm > 0 else 0.0), sweeps)
 
 
 def angular_synchronize(f: np.ndarray) -> RecoveredSpectrum:
@@ -274,9 +280,10 @@ def angular_synchronize(f: np.ndarray) -> RecoveredSpectrum:
     magnitude are replaced by their unit-modulus phases, everything else by
     zero, and the diagonal by ones.  The output is defined up to one global
     unimodular factor.  The eigen-gap is the ratio of the two largest
-    eigenvalues of the phase-normalized matrix (``numpy.linalg.eigvalsh``);
-    the power iteration supplies only the vector, which converges at the
-    rate of that gap.  The returned diagnostics hold only the eigen-gap;
+    eigenvalues of the phase-normalized matrix (``numpy.linalg.eigvalsh``),
+    and the power iteration supplies only the vector.  It runs shifted by
+    −(λ₂ + λ_min)/2, which centres the rest of that spectrum on zero, so it
+    converges at the rate (λ₂ − λ_min)/(2λ₁ − λ₂ − λ_min).  The returned diagnostics hold only the eigen-gap;
     ``recover`` reports it with the solve's and the refinement's fields.
 
     Raises
@@ -301,14 +308,16 @@ def angular_synchronize(f: np.ndarray) -> RecoveredSpectrum:
                       f / np.where(mags > 0, mags, 1.0), 0.0)
     np.fill_diagonal(phases, 1.0)
 
-    vec, _ = leading_eigenvector(
-        BandedMatrix.from_dense(phases, n - 1, hermitian=True),
-        iter_tol=POWER_TOL, max_iters=MAX_POWER_ITERS)
-    lam2, lam1 = np.linalg.eigvalsh(phases)[-2:]
+    evals = np.linalg.eigvalsh(phases)
+    lam2, lam1 = evals[-2:]
     gap = float("inf") if lam2 <= 0 else float(lam1 / lam2)
     if gap < 1.0 + 1e-6:
         raise DegenerateSpectrum(
             f"eigen-gap ratio {gap:.9f} leaves synchronization undetermined")
+    vec, _ = leading_eigenvector(
+        BandedMatrix.from_dense(phases, n - 1, hermitian=True),
+        iter_tol=POWER_TOL, max_iters=MAX_POWER_ITERS,
+        shift=-0.5 * float(lam2 + evals[0]))
 
     mags_v = np.abs(vec)
     phases = np.where(mags_v > 0, vec / np.where(mags_v > 0, mags_v, 1.0), 1.0)

@@ -164,8 +164,7 @@ def merged_factorization(system):
     of ``vh_b``."""
     us, ss, vhs = [], [], []
     for block in system.factorization:
-        rows = np.array([block.rows_of(e)
-                         for e in np.eye(system.n_measurements)])
+        rows = block.rows_of(np.eye(system.n_measurements))
         us.append(rows @ block.u)
         ss.append(block.s)
         vhs.append(np.array([np.bincount(block.pairs.ravel(),

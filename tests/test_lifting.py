@@ -198,10 +198,14 @@ class TestAssembleSystem:
         assert sizes == [width]
         stored = {name: value.shape for name, value in vars(system).items()
                   if isinstance(value, np.ndarray)}
-        # forward's gather of the padded band diagonals is the third
+        # forward's gather of the padded band diagonals is the third; the
+        # rank-one image's taps and its gather of each row's window the
+        # fourth and fifth
         assert stored == {"phases": (grid.n_shifts, width),
                           "kernels": (width, width),
-                          "_diagonals": (width, grid.n_frequencies + width - 1)}
+                          "_diagonals": (width, grid.n_frequencies + width - 1),
+                          "_taps": (width, grid.n_shifts),
+                          "_windows": (grid.n_frequencies, width)}
         assert system.matrix.shape == (system.n_measurements, system.n_unknowns)
 
     def test_pack_unpack_round_trip(self, small_setup):
@@ -378,6 +382,36 @@ class TestStructuredForward:
         junk = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         outside = np.triu(junk, system.band + 1) + np.tril(junk, -system.band - 1)
         assert np.array_equal(system.forward(f + outside), image)
+
+
+class TestRankOneImage:
+    """``LiftedSystem.image`` against ``forward``: the image of a rank-one
+    ``w wᴴ`` is ``|W_w B|²``, and the image of the change ``w wᴴ - z zᴴ``
+    is ``Re(W_d B conj(W_s B))`` with ``d = w - z`` and ``s = w + z``."""
+
+    @pytest.mark.parametrize("make_window", [
+        lambda: lp.get_window("gaussian"), chirped_window, tilted_window],
+        ids=["gaussian", "chirped", "tilted"])
+    @pytest.mark.parametrize("shifts", [
+        None, (-0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4), (0.0,)],
+        ids=["paper", "asymmetric", "one-shift"])
+    def test_matches_forward(self, make_window, shifts):
+        grid = lp.paper_grid() if shifts is None else lp.MeasurementGrid(
+            shifts, lp.half_integer_grid(21, 1, 0.1, 3).frequencies, 3)
+        system = lp.assemble_system(make_window(), grid)
+        n = grid.n_frequencies
+        rng = np.random.default_rng(7 * n + len(grid.shifts))
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        z = np.exp(2j * np.pi * rng.uniform()) * (
+            w + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        b = system.forward(np.outer(w, np.conj(w)))
+        image, change, total = system.image(np.stack([w, w - z, w + z]))
+        assert image.shape == b.shape
+        assert np.max(np.abs(np.abs(image) ** 2 - b)) \
+            <= 1e-14 * np.max(np.abs(b))
+        step = system.forward(np.outer(w, np.conj(w)) - np.outer(z, np.conj(z)))
+        assert np.max(np.abs((change * np.conj(total)).real - step)) \
+            <= 1e-14 * np.max(np.abs(b))
 
 
 class TestForwardLifted:

@@ -138,6 +138,55 @@ class TestAngularSynchronize:
             or spectrum.diagnostics.eigen_gap > 1.5
 
 
+class TestSynchronizationShift:
+    """The power iteration of ``angular_synchronize``, shifted by
+    −(λ₂ + λ_min)/2 of the spectrum it computes first, against a dense
+    ``eigh`` of the phase matrix it is handed."""
+
+    @pytest.mark.parametrize("level", [0.0, 1e-4, 1e-3])
+    @pytest.mark.parametrize("signal", ["gaussian", "modulated"])
+    def test_vector_matches_dense_eigh(self, grid, window, signal, level,
+                                       monkeypatch):
+        data = lp.measure(lp.get_signal(signal), window, grid,
+                          method="series", noise=lp.NoiseSpec(17, level))
+        runs, real = [], recovery.leading_eigenvector
+
+        def recording(h, **kwargs):
+            matvec, count = h.matvec, []
+            monkeypatch.setattr(h, "matvec",
+                                lambda v: count.append(1) or matvec(v))
+            vec, lam = real(h, **kwargs)
+            dense = np.column_stack([matvec(e) for e in np.eye(h.size)])
+            runs.append((dense, vec, len(count)))
+            return vec, lam
+
+        monkeypatch.setattr(recovery, "leading_eigenvector", recording)
+        lp.recover(data, window)
+        [(dense, vec, iterations)] = runs
+        expected = np.linalg.eigh(dense)[1][:, -1]
+        assert np.linalg.norm(align_phase(vec, expected) - expected) <= 1e-10
+        # the shift ‖H‖₁ + 1 took 51 to 68 iterations on these inputs
+        assert iterations <= 25
+
+    @pytest.mark.parametrize("split", [0.0, 2e-3], ids=["equal", "within-1e-6"])
+    def test_double_top_eigenvalue_raises_before_iterating(self, split,
+                                                           monkeypatch):
+        # two decoupled all-phase blocks of 4, λ₁ = 4 and, with the phase
+        # split, λ₂ = λ₁/(1 + 1.25e-7): the shift ‖H‖₁ + 1 never converged
+        # on the second, so synchronization raised NonConvergence
+        block = np.ones((4, 4), dtype=complex)
+        f = np.zeros((8, 8), dtype=complex)
+        f[:4, :4], f[4:, 4:] = block, block
+        f[4, 5], f[5, 4] = np.exp(1j * split), np.exp(-1j * split)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("synchronization iterated")
+
+        monkeypatch.setattr(recovery, "leading_eigenvector", forbidden)
+        with pytest.raises(DegenerateSpectrum):
+            lp.angular_synchronize(f)
+
+
 def pinv_eigh_reference(window, grid, b, cfg):
     """The refinement written on the complex entry-coordinate oracle with
     the dense pseudo-inverse and a dense eigh: minimum-norm start, then per
@@ -258,10 +307,12 @@ class TestWarmRankOnePart:
     ``np.linalg.eigh`` of the same iterate."""
 
     @staticmethod
-    def _dense_part(h):
+    def _part(lam, vec):
+        return max(lam, 0.0) * np.outer(vec, np.conj(vec))
+
+    def _dense_part(self, h):
         evals, evecs = np.linalg.eigh(h)
-        lam, vec = float(evals[-1]), evecs[:, -1]
-        return lam, max(lam, 0.0) * np.outer(vec, np.conj(vec))
+        return float(evals[-1]), self._part(float(evals[-1]), evecs[:, -1])
 
     @pytest.mark.parametrize("level", [0.0, 1e-3], ids=["clean", "noisy"])
     @pytest.mark.parametrize("grid_size", ["paper", "101-15"])
@@ -276,9 +327,9 @@ class TestWarmRankOnePart:
         calls, real_part = [], recovery._rank_one_part
 
         def recording_part(system, x, basis):
-            part, kept = real_part(system, x, basis)
-            calls.append((x, basis, part, kept))
-            return part, kept
+            lam, vec, kept = real_part(system, x, basis)
+            calls.append((x, basis, lam, vec, kept))
+            return lam, vec, kept
 
         monkeypatch.setattr(recovery, "_rank_one_part", recording_part)
         dense_calls = count_eigh(monkeypatch, grid.n_frequencies)
@@ -290,10 +341,10 @@ class TestWarmRankOnePart:
         assert len(calls) == spectrum.diagnostics.refine_sweeps + 1
         assert calls[0][1] is None
         assert all(basis is not None for _, basis, *_ in calls[1:])
-        for x, basis, part, kept in calls:
-            lam, expected = self._dense_part(system.unpack(x))
-            assert np.trace(part).real == pytest.approx(lam, rel=1e-12)
-            assert np.linalg.norm(part - expected) \
+        for x, basis, lam, vec, kept in calls:
+            expected_lam, expected = self._dense_part(system.unpack(x))
+            assert lam == pytest.approx(expected_lam, rel=1e-12)
+            assert np.linalg.norm(self._part(lam, vec) - expected) \
                 <= 1e-10 * np.linalg.norm(expected)
             assert kept.shape == (grid.n_frequencies, recovery.RITZ_VECTORS)
 
@@ -310,11 +361,12 @@ class TestWarmRankOnePart:
                              + 1j * rng.standard_normal(
                                  (n, recovery.RITZ_VECTORS)))[0]
         dense_calls = count_eigh(monkeypatch, n)
-        part, basis = recovery._rank_one_part(system, system.pack(h), stale)
+        lam, vec, basis = recovery._rank_one_part(system, system.pack(h), stale)
         monkeypatch.undo()
         evals, evecs = np.linalg.eigh(h)
         assert dense_calls == [(n, n)]
-        assert np.array_equal(part, self._dense_part(h)[1])
+        assert lam == evals[-1]
+        assert np.array_equal(self._part(lam, vec), self._dense_part(h)[1])
         assert np.array_equal(basis, evecs[:, -recovery.RITZ_VECTORS:])
 
     def test_dominant_negative_eigenvalue_falls_back(self, small_setup,
@@ -508,6 +560,22 @@ class TestRecover:
         monkeypatch.setattr(lp.LiftedSystem, "matrix", property(forbidden))
         got = lp.recover(data, window, cfg).f_hat
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_warm_recover_applies_forward_once(self, b_series, window,
+                                               monkeypatch):
+        # the solve's residual is the only full forward; the refinement
+        # reads the images of its top eigenvectors
+        calls, real_forward = [], lp.LiftedSystem.forward
+
+        def counting(self, dense):
+            calls.append(dense.shape)
+            return real_forward(self, dense)
+
+        lp.cached_system(window, b_series["modulated"].grid).factorization
+        monkeypatch.setattr(lp.LiftedSystem, "forward", counting)
+        spectrum = lp.recover(b_series["modulated"], window)
+        assert spectrum.diagnostics.refine_sweeps == 30
+        assert calls == [(61, 61)]
 
     def test_system_cache_shares_instances(self, window, grid):
         # the grid is its own key: equal grids share, unequal ones do not
