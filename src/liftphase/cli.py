@@ -127,14 +127,15 @@ class _Settings:
 def _read_document(path, what: str) -> dict:
     """The JSON object in file ``path``, a config or measurement document
     (``what`` names it in messages).  An unreadable file raises _IOFailure
-    (exit 3); bad JSON or UTF-8, or a document that is not an object,
-    raises ConfigError (exit 2)."""
+    (exit 3); bad JSON or UTF-8, nesting too deep to parse, or a document
+    that is not an object, raises ConfigError (exit 2)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise _IOFailure(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an over-long integer
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an over-long integer, or nesting too deep to parse
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} document must be a JSON object")

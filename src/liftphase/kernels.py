@@ -1,5 +1,5 @@
 """Numerical primitives: complex quadrature, the thin SVD and minimum-norm
-least squares on its truncation, and dominant eigenpairs.
+least squares on its truncation, and the dominant eigenpair.
 
 Everything here is a pure function of its inputs; the only module state is
 a cache of Gauss-Legendre rules by node count, so all operations are safe to
@@ -16,15 +16,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .exceptions import DecompositionFailure, DimensionError, NonConvergence
 
-__all__ = [
-    "QuadratureSpec",
-    "integrate_complex",
-    "thin_svd",
-    "truncate",
-    "min_norm_least_squares",
-    "leading_eigenvector",
-    "BandedMatrix",
-]
+__all__ = ["QuadratureSpec", "integrate_complex", "thin_svd",
+           "min_norm_least_squares", "leading_eigenvector", "BandedMatrix"]
 
 #: ``integrate_complex`` applies rules of 8, 16, ..., MAX_NODES nodes; the
 #: largest resolves |freq| * (upper - lower) up to about 280.
@@ -107,60 +100,38 @@ def integrate_complex(integrand, spec: QuadratureSpec):
 
 
 def thin_svd(a: np.ndarray):
-    """Thin SVD ``(u, s, vh)`` of ``a``, s descending, by Chan's R-SVD.
+    """Thin SVD ``(u, s, vh)`` of ``a``, s descending, by LAPACK.
 
-    The long orientation of ``a`` (``a`` itself if tall, its adjoint if
-    wide) is QR-factored first and only the square R is SVD-factored: as
-    stable as LAPACK's direct SVD, as fast as it on the tall orientation
-    and faster on the wide one.  ``u`` and ``vh`` are C-contiguous, so the
-    row prefixes that :func:`truncate` keeps stay cheap to multiply.  Raises
-    DecompositionFailure if LAPACK does not converge.
+    LAPACK runs on the tall orientation of ``a`` (``a`` itself if tall, its
+    adjoint if wide), where it QR-factors first and SVD-factors only the
+    square R; on the wide orientation it takes longer.  ``u`` and ``vh``
+    are C-contiguous, so the row prefixes that a truncation keeps stay
+    cheap to multiply.  Raises DecompositionFailure if LAPACK does not
+    converge.
     """
     a = np.asarray(a)
     wide = a.shape[0] < a.shape[1]
     try:
-        q, r = np.linalg.qr(a.conj().T if wide else a)
-        w, s, zh = np.linalg.svd(r)
+        u, s, vh = np.linalg.svd(a.conj().T if wide else a,
+                                 full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(f"SVD did not converge: {exc}") from exc
     if wide:
-        # a^H = q w s zh, so a = zh^H s (q w)^H
-        return np.ascontiguousarray(zh.conj().T), s, w.conj().T @ q.conj().T
-    return q @ w, s, zh
+        # a^H = u s vh, so a = vh^H s u^H
+        u, vh = vh.conj().T, u.conj().T
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
 
 
-def truncate(factorization, rank_tol: float):
-    """The thin-SVD factors ``(u, s, vh)`` kept at the relative cutoff
-    ``rank_tol`` (of the largest singular value); ``s.size`` is the rank.
+def min_norm_least_squares(a: np.ndarray, b: np.ndarray,
+                           rank_tol: float = 1e-10, factorization=None
+                           ) -> tuple[np.ndarray, float, int]:
+    """Minimum-norm solution of ``min ||a x - b||_2`` via truncated SVD, as
+    ``(x, residual_norm, numerical_rank)``.
 
-    s is descending, so the kept triplets are a prefix and the results are
-    views of the factors, not copies.
-    """
-    u, s, vh = factorization
-    rank = int(np.count_nonzero(s > rank_tol * s.max(initial=0.0)))
-    return u[:, :rank], s[:rank], vh[:rank]
-
-
-def min_norm_least_squares(
-    a: np.ndarray,
-    b: np.ndarray,
-    rank_tol: float = 1e-10,
-    factorization=None,
-) -> tuple[np.ndarray, float, int]:
-    """Minimum-norm solution of ``min ||a x - b||_2`` via truncated SVD.
-
-    Singular values are truncated by :func:`truncate`; the count of
-    retained values is the numerical rank.
-
-    Parameters
-    ----------
-    factorization
-        Optional precomputed ``(u, s, vh)`` thin SVD of ``a``, so repeated
-        solves against one matrix can reuse it.
-
-    Returns
-    -------
-    (x, residual_norm, numerical_rank)
+    The singular values above ``rank_tol`` times the largest are kept; s is
+    descending, so they are a prefix, and their count is the numerical rank.
+    ``factorization`` is an optional precomputed ``(u, s, vh)`` thin SVD of
+    ``a``, so repeated solves against one matrix can reuse it.
     """
     a = np.asarray(a)
     b = np.asarray(b).ravel()
@@ -168,51 +139,29 @@ def min_norm_least_squares(
         raise DimensionError(f"shape mismatch: a is {a.shape}, b has {b.shape[0]} rows")
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    u, s, vh = truncate(factorization if factorization is not None
-                        else thin_svd(a), rank_tol)
-    x = vh.conj().T @ ((u.conj().T @ b) / s)
+    u, s, vh = factorization if factorization is not None else thin_svd(a)
+    rank = int(np.count_nonzero(s > rank_tol * s.max(initial=0.0)))
+    x = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ b) / s[:rank])
     residual = float(np.linalg.norm(a @ x - b))
-    return x, residual, s.size
+    return x, residual, rank
 
 
 class BandedMatrix:
-    """Square complex matrix supported on a band, stored as one dense array:
-    the operand of :func:`leading_eigenvector`.
+    """Exactly Hermitian complex matrix, held dense: the operand of
+    :func:`leading_eigenvector`.
 
-    Entries with ``|i - j| > half_width`` are zero.  A ``hermitian=True``
-    matrix is built from its upper triangle and mirrored, so Hermitian
-    symmetry holds structurally rather than to a tolerance.
+    Raises DimensionError unless ``dense`` is square and equal to its
+    adjoint entry for entry.
     """
 
-    def __init__(self, size: int, half_width: int, hermitian: bool = False):
-        if size < 1:
-            raise DimensionError("size must be >= 1")
-        if not 0 <= half_width <= size - 1:
-            raise DimensionError(
-                f"half_width {half_width} out of range for size {size}"
-            )
-        self.size = size
-        self.half_width = half_width
-        self.hermitian = hermitian
-        self._dense = np.zeros((size, size), dtype=complex)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, half_width: int, hermitian: bool = False):
-        """Band-restrict a dense matrix; out-of-band entries are dropped.
-
-        With ``hermitian=True`` the upper triangle is taken as authoritative
-        and the diagonal's imaginary part is discarded.
-        """
+    def __init__(self, dense: np.ndarray):
         dense = np.asarray(dense, dtype=complex)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise DimensionError(f"expected a square matrix, got {dense.shape}")
-        out = cls(dense.shape[0], half_width, hermitian=hermitian)
-        band = np.triu(np.tril(dense, half_width), -half_width)
-        if hermitian:
-            upper = np.triu(band, 1)
-            band = upper + upper.conj().T + np.diag(band.diagonal().real)
-        out._dense = band
-        return out
+        if not np.array_equal(dense, dense.conj().T):
+            raise DimensionError("expected an exactly Hermitian matrix")
+        self.size = dense.shape[0]
+        self._dense = dense
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
@@ -220,64 +169,41 @@ class BandedMatrix:
             raise DimensionError("vector length mismatch")
         return self._dense @ v
 
-    def one_norm(self) -> float:
-        """Maximum absolute column sum."""
-        return float(np.abs(self._dense).sum(axis=0).max())
+
+#: Residual tolerance and iteration budget of :func:`leading_eigenvector`.
+POWER_TOL = 1e-10
+MAX_POWER_ITERS = 50000
 
 
-def leading_eigenvector(
-    h: BandedMatrix,
-    iter_tol: float = 1e-10,
-    max_iters: int = 20000,
-    shift: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Dominant eigenpair of a Hermitian banded matrix by shifted power
-    iteration.
+def leading_eigenvector(h: BandedMatrix, shift: float
+                        ) -> tuple[np.ndarray, float]:
+    """Dominant eigenpair of a Hermitian matrix by shifted power iteration.
 
     The iteration runs on ``H + shift I`` and converges to the largest
-    eigenvalue λ₁ of ``H``: always under the default ``||H||_1 + 1``, and
-    fastest under ``-(λ₂ + λ_min)/2``, when λ₁ > λ₂.  The
-    start vector is all-ones plus a small pseudo-random perturbation drawn
-    from ``numpy.random.default_rng(0)``, making runs reproducible.
-
-    Parameters
-    ----------
-    h
-        A :class:`BandedMatrix` built with ``hermitian=True``.
-
-    Returns
-    -------
-    (v, lam)
-        Unit eigenvector and eigenvalue with ``||H v - lam v|| <= iter_tol``.
-
-    Raises
-    ------
-    NonConvergence
-        If the residual tolerance is not met within ``max_iters``.
+    eigenvalue λ₁ of ``H`` when λ₁ > λ₂ and ``shift`` puts λ₁ + shift
+    strictly above |μ + shift| for every other eigenvalue μ; it is fastest
+    under ``-(λ₂ + λ_min)/2``.  The start vector is all-ones plus a small
+    pseudo-random perturbation drawn from ``numpy.random.default_rng(0)``,
+    making runs reproducible.  Returns the unit eigenvector and eigenvalue
+    ``(v, lam)`` with ``||H v - lam v|| <= POWER_TOL``, or raises
+    NonConvergence after ``MAX_POWER_ITERS`` iterations.
     """
-    if not h.hermitian:
-        raise ValueError("banded operand must carry the hermitian flag")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     n = h.size
-    shift = h.one_norm() + 1.0 if shift is None else shift
-
     rng = np.random.default_rng(0)
     v = np.ones(n, dtype=complex)
     v += 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     v /= np.linalg.norm(v)
 
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(MAX_POWER_ITERS):
         hv = h.matvec(v)
         lam = float(np.real(np.vdot(v, hv)))
-        if np.linalg.norm(hv - lam * v) <= iter_tol:
+        if np.linalg.norm(hv - lam * v) <= POWER_TOL:
             return v, lam
         w = hv + shift * v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             raise NonConvergence("power iteration collapsed to the zero vector")
         v = w / nw
-    raise NonConvergence(
-        f"power iteration: residual above {iter_tol:.1e} after {max_iters} iterations"
-    )
+    raise NonConvergence(f"power iteration: residual above {POWER_TOL:.1e} "
+                         f"after {MAX_POWER_ITERS} iterations")

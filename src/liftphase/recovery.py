@@ -56,10 +56,6 @@ MAX_SWEEPS = 30
 #: Top eigenvectors carried from sweep to sweep, orthogonal-iteration steps
 #: before a dense ``eigh``, and the relative eigen-residual that is enough.
 RITZ_VECTORS, RITZ_STEPS, RITZ_TOL = 4, 10, 1e-13
-#: Residual tolerance and iteration budget of the synchronization power
-#: iteration.
-POWER_TOL = 1e-10
-MAX_POWER_ITERS = 50000
 
 
 @dataclass(frozen=True)
@@ -289,18 +285,19 @@ def angular_synchronize(f: np.ndarray) -> RecoveredSpectrum:
     Raises
     ------
     DimensionError
-        If ``f`` is not square or not exactly Hermitian.
+        If ``f`` is not square, has fewer than two rows (no eigen-gap) or
+        is not exactly Hermitian.
     DegenerateSpectrum
         If the two leading eigenvalues are too close (ratio below
         1 + 1e-6), e.g. when no off-diagonal phase information survives
         the floor.
     """
     f = np.asarray(f)
-    if f.ndim != 2 or f.shape[0] != f.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {f.shape}")
+    if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] < 2:
+        raise DimensionError(
+            f"expected a square matrix of two or more rows, got shape {f.shape}")
     if not np.array_equal(f, f.conj().T):
         raise DimensionError("synchronization needs an exactly Hermitian matrix")
-    n = f.shape[0]
     diag = np.maximum(f.diagonal().real, 0.0)
 
     mags = np.abs(f)
@@ -314,10 +311,8 @@ def angular_synchronize(f: np.ndarray) -> RecoveredSpectrum:
     if gap < 1.0 + 1e-6:
         raise DegenerateSpectrum(
             f"eigen-gap ratio {gap:.9f} leaves synchronization undetermined")
-    vec, _ = leading_eigenvector(
-        BandedMatrix.from_dense(phases, n - 1, hermitian=True),
-        iter_tol=POWER_TOL, max_iters=MAX_POWER_ITERS,
-        shift=-0.5 * float(lam2 + evals[0]))
+    vec, _ = leading_eigenvector(BandedMatrix(phases),
+                                 -0.5 * float(lam2 + evals[0]))
 
     mags_v = np.abs(vec)
     phases = np.where(mags_v > 0, vec / np.where(mags_v > 0, mags_v, 1.0), 1.0)

@@ -445,13 +445,18 @@ class TestRecoverCommand:
         long.write_text(text.replace('"delta": 2', '"delta": 1' + "0" * 5000))
         binary = tmp_path / "binary.json"
         binary.write_bytes(b"\xff\xfe{")
-        for bad in (long, binary):
+        # nesting deeper than the reader's recursion limit
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        for bad in (long, binary, nested):
             assert run_cli(["recover", str(bad), "--out",
                             str(tmp_path / "rec")]) == cli.EXIT_CONFIG
         config = tmp_path / "config.json"
         config.write_text('{"grid": {"delta": 1' + "0" * 5000 + "}}")
         assert run_cli(["simulate", "--config", str(config), "--out",
                         str(tmp_path / "sim")]) == cli.EXIT_CONFIG
+        assert run_cli(["experiment", "paper-1", "--config", str(nested),
+                        "--out", str(tmp_path / "exp")]) == cli.EXIT_CONFIG
 
     def test_missing_file_is_io_error(self, tmp_path):
         code = run_cli(["recover", str(tmp_path / "nope.json"),

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 from liftphase import (BandedMatrix, NonConvergence, QuadratureSpec,
-                       integrate_complex, leading_eigenvector,
+                       integrate_complex, kernels, leading_eigenvector,
                        min_norm_least_squares)
 from liftphase.exceptions import DecompositionFailure, DimensionError
-from liftphase.kernels import MAX_NODES, thin_svd, truncate
+from liftphase.kernels import MAX_NODES, thin_svd
 
-from conftest import align_phase, random_banded_hermitian
+from conftest import align_phase, band_part, random_banded_hermitian
 
 
 class TestQuadrature:
@@ -125,18 +125,18 @@ class TestMinNormLeastSquares:
             min_norm_least_squares(np.eye(3), np.ones(2))
 
     def test_truncation_sets_the_rank(self):
-        # the solve keeps exactly the triplets truncate keeps
+        # the solve keeps the singular values above rank_tol times the
+        # largest, and solves on exactly those triplets
         a = np.diag([4.0, 1.0, 1e-3, 1e-9])
         factors = thin_svd(a)
         for rank_tol, rank in ((1e-10, 4), (1e-6, 3), (1e-2, 2), (0.5, 1)):
-            u, s, vh = truncate(factors, rank_tol)
-            assert s.size == u.shape[1] == vh.shape[0] == rank
-            # the kept triplets are a prefix: views, not copies
-            assert all(np.shares_memory(kept, full)
-                       for kept, full in zip((u, s, vh), factors))
-            assert min_norm_least_squares(a, np.ones(4), rank_tol=rank_tol,
-                                          factorization=factors)[2] == rank
-        assert truncate(thin_svd(np.zeros((3, 2))), 1e-10)[1].size == 0
+            x, _, kept = min_norm_least_squares(a, np.ones(4), rank_tol=rank_tol,
+                                                factorization=factors)
+            assert kept == rank
+            assert np.allclose(x, np.where(np.arange(4) < rank,
+                                           1.0 / a.diagonal(), 0.0))
+        assert min_norm_least_squares(np.zeros((3, 2)), np.ones(3),
+                                      factorization=thin_svd(np.zeros((3, 2))))[2] == 0
 
     def test_svd_failure_is_a_decomposition_failure(self, monkeypatch):
         def diverges(*args, **kwargs):
@@ -146,21 +146,13 @@ class TestMinNormLeastSquares:
         with pytest.raises(DecompositionFailure):
             min_norm_least_squares(np.eye(3), np.ones(3))
 
-    def test_qr_failure_is_a_decomposition_failure(self, monkeypatch):
-        def diverges(*args, **kwargs):
-            raise np.linalg.LinAlgError("QR failed")
-
-        monkeypatch.setattr(np.linalg, "qr", diverges)
-        with pytest.raises(DecompositionFailure):
-            thin_svd(np.ones((2, 5)))
-
 
 def _rank_three(m, n, rng):
     return rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
 
 
 class TestThinSvd:
-    """The R-SVD against LAPACK's direct SVD."""
+    """The SVD of the tall orientation against LAPACK's SVD of ``a`` itself."""
 
     @pytest.mark.parametrize("make", [
         lambda rng: rng.standard_normal((7, 19)),
@@ -188,15 +180,15 @@ class TestThinSvd:
         assert u.flags.c_contiguous and vh.flags.c_contiguous
 
 
-def full_band(h):
-    """A dense Hermitian matrix as a full-band Hermitian BandedMatrix."""
-    h = np.asarray(h, dtype=complex)
-    return BandedMatrix.from_dense(h, h.shape[0] - 1, hermitian=True)
+def centred_shift(h):
+    """−(λ₂ + λ_min)/2 of ``h``: the shift that synchronization passes."""
+    evals = np.linalg.eigvalsh(h)
+    return -0.5 * (evals[-2] + evals[0])
 
 
 class TestLeadingEigenvector:
     def test_diagonal(self):
-        v, lam = leading_eigenvector(full_band(np.diag([3.0, 1.0])))
+        v, lam = leading_eigenvector(BandedMatrix(np.diag([3.0, 1.0])), -1.0)
         assert lam == pytest.approx(3.0, abs=1e-10)
         assert abs(v[0]) == pytest.approx(1.0, abs=1e-9)
 
@@ -206,7 +198,8 @@ class TestLeadingEigenvector:
         u += 0.3 * np.sign(u.real) + 0.3j * np.sign(u.imag)  # keep entries away from 0
         u /= np.linalg.norm(u)
         h = np.outer(u, np.conj(u))
-        v, lam = leading_eigenvector(full_band(h), iter_tol=1e-12)
+        h = 0.5 * (h + h.conj().T)  # exactly Hermitian
+        v, lam = leading_eigenvector(BandedMatrix(h), 0.0)
         assert lam == pytest.approx(1.0, abs=1e-10)
         assert abs(np.vdot(v, u)) == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(h @ v - lam * v) <= 1e-10
@@ -217,11 +210,9 @@ class TestLeadingEigenvector:
         n, half_width = 21, 12
         f = np.exp(2j * np.pi * rng.uniform(0, 1, n)) * rng.uniform(0.2, 1.0, n)
         outer = np.outer(f, np.conj(f))
-        phases = outer / np.abs(outer)
-        phases = np.triu(np.tril(phases, half_width), -half_width)
+        phases = band_part(outer / np.abs(outer), half_width)
         np.fill_diagonal(phases, 1.0)
-        banded = BandedMatrix.from_dense(phases, half_width, hermitian=True)
-        v, lam = leading_eigenvector(banded, iter_tol=1e-11)
+        v, lam = leading_eigenvector(BandedMatrix(phases), centred_shift(phases))
         evals, evecs = np.linalg.eigh(phases)
         assert lam == pytest.approx(evals[-1], abs=1e-9)
         assert abs(np.vdot(v, evecs[:, -1])) == pytest.approx(1.0, abs=1e-9)
@@ -234,61 +225,57 @@ class TestLeadingEigenvector:
         rng = np.random.default_rng(7)
         h = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         h = 0.5 * (h + h.conj().T)
-        v, lam = leading_eigenvector(full_band(h), iter_tol=1e-11)
+        v, lam = leading_eigenvector(BandedMatrix(h), centred_shift(h))
         assert np.real(np.vdot(v, h @ v)) == pytest.approx(lam, abs=1e-10)
-        v2, lam2 = leading_eigenvector(full_band(2.5 * h), iter_tol=1e-10)
+        v2, lam2 = leading_eigenvector(BandedMatrix(2.5 * h),
+                                       centred_shift(2.5 * h))
         assert lam2 == pytest.approx(2.5 * lam, rel=1e-8)
         assert abs(np.vdot(v, v2)) == pytest.approx(1.0, abs=1e-8)
 
-    def test_nonconvergence(self):
-        h = full_band(np.diag([1.0 + 1e-12, 1.0]))
-        # the trivial fixed points are excluded by the perturbed start vector
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shifted_iteration_matches_dense_eigh(self, seed):
+        # random Hermitian matrices whose top eigenvalue stands 0.5 above the
+        # rest of a spectrum in [-1, 1]; the oracle is a dense eigh
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 40))
+        q = np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+        spectrum = np.append(rng.uniform(-1.0, 1.0, n - 1), 1.5)
+        h = (q * spectrum) @ q.conj().T
+        h = 0.5 * (h + h.conj().T)
+        v, lam = leading_eigenvector(BandedMatrix(h), centred_shift(h))
+        evals, evecs = np.linalg.eigh(h)
+        assert lam == pytest.approx(evals[-1], abs=1e-10)
+        assert np.linalg.norm(h @ v - lam * v) <= kernels.POWER_TOL
+        assert np.linalg.norm(align_phase(v, evecs[:, -1])
+                              - evecs[:, -1]) <= 1e-9
+
+    def test_nonconvergence(self, monkeypatch):
+        # the shift 0 leaves |-1| = 1: the iterate never settles on e1
+        monkeypatch.setattr(kernels, "MAX_POWER_ITERS", 100)
         with pytest.raises(NonConvergence):
-            leading_eigenvector(h, iter_tol=1e-14, max_iters=3)
+            leading_eigenvector(BandedMatrix(np.diag([1.0, -1.0])), 0.0)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            leading_eigenvector(BandedMatrix.from_dense(
-                np.array([[0.0, 1.0], [0.0, 0.0]]), 1))
+        # the operand type admits only exactly Hermitian matrices
+        with pytest.raises(DimensionError):
+            leading_eigenvector(BandedMatrix(
+                np.array([[0.0, 1.0], [0.0, 0.0]])), 0.0)
 
 
 class TestBandedMatrix:
-    def test_round_trip_on_band_supported_matrix(self):
-        rng = np.random.default_rng(1)
-        dense = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        banded_dense = np.triu(np.tril(dense, 2), -2)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        # out-of-band entries are dropped
-        assert np.array_equal(BandedMatrix.from_dense(dense, 2).matvec(v),
-                              banded_dense @ v)
-
-    def test_hermitian_is_structural(self):
-        dense = np.array([[1 + 1j, 1 + 2j, 5.0, 0.0],
-                          [7.0, 2.0, 3 - 1j, 0.0],
-                          [0.0, 7.0, 3.0, 0.5j],
-                          [0.0, 0.0, 7.0, 4.0]])
-        # the upper triangle is mirrored and the diagonal's imaginary part
-        # dropped; entry (0, 2) lies outside the band
-        expected = np.array([[1, 1 + 2j, 0, 0],
-                             [1 - 2j, 2, 3 - 1j, 0],
-                             [0, 3 + 1j, 3, 0.5j],
-                             [0, 0, -0.5j, 4]])
-        banded = BandedMatrix.from_dense(dense, 1, hermitian=True)
-        for column in np.eye(4):
-            assert np.array_equal(banded.matvec(column), expected @ column)
-
-    def test_matvec_and_one_norm_match_dense(self):
+    def test_matvec_matches_dense(self):
         rng = np.random.default_rng(2)
         dense = random_banded_hermitian(11, 4, rng)
-        banded = BandedMatrix.from_dense(dense, 4, hermitian=True)
         v = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-        assert np.allclose(banded.matvec(v), dense @ v, atol=1e-13)
-        assert banded.one_norm() == pytest.approx(np.abs(dense).sum(axis=0).max())
+        assert np.array_equal(BandedMatrix(dense).matvec(v), dense @ v)
 
     def test_dimension_validation(self):
         with pytest.raises(DimensionError):
-            BandedMatrix(3, 3)
+            BandedMatrix(np.zeros((3, 2)))
         with pytest.raises(DimensionError):
-            BandedMatrix.from_dense(np.zeros((3, 2)), 1)
+            BandedMatrix(np.zeros(3))
         with pytest.raises(DimensionError):
-            BandedMatrix(4, 1).matvec(np.zeros(3))
+            BandedMatrix(np.eye(4)).matvec(np.zeros(3))
+        with pytest.raises(DimensionError):
+            BandedMatrix(np.diag([1.0 + 1e-300j, 2.0]))

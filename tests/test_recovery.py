@@ -129,6 +129,12 @@ class TestAngularSynchronize:
             with pytest.raises(DimensionError):
                 lp.angular_synchronize(bad)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_is_a_dimension_error(self, n):
+        # one sample has no second eigenvalue, and none has no entries
+        with pytest.raises(DimensionError):
+            lp.angular_synchronize(np.eye(n, dtype=complex))
+
     def test_eigen_gap_reported(self, small_setup):
         grid, system = small_setup
         vec = random_lattice_vector(grid.n_frequencies,
@@ -151,11 +157,11 @@ class TestSynchronizationShift:
                           method="series", noise=lp.NoiseSpec(17, level))
         runs, real = [], recovery.leading_eigenvector
 
-        def recording(h, **kwargs):
+        def recording(h, shift):
             matvec, count = h.matvec, []
             monkeypatch.setattr(h, "matvec",
                                 lambda v: count.append(1) or matvec(v))
-            vec, lam = real(h, **kwargs)
+            vec, lam = real(h, shift)
             dense = np.column_stack([matvec(e) for e in np.eye(h.size)])
             runs.append((dense, vec, len(count)))
             return vec, lam
